@@ -133,9 +133,11 @@ int main(int argc, char** argv) {
   // Per-phase kernel time: the numbers to compare across --threads values.
   const TimerRegistry& phases = placer.engine().phase_timers();
   std::printf(
-      "GP phases: wirelength %.3fs  density %.3fs (fft %.3fs, field %.3fs)\n",
+      "GP phases: wirelength %.3fs  density %.3fs (scatter %.3fs, fft %.3fs, "
+      "field %.3fs)\n",
       phases.total("gp.phase.wirelength"), phases.total("gp.phase.density"),
-      phases.total("gp.phase.fft"), phases.total("gp.phase.field"));
+      phases.total("gp.phase.scatter"), phases.total("gp.phase.fft"),
+      phases.total("gp.phase.field"));
   if (gp.kicks_attempted > 0) {
     std::printf("GP kicks: %d attempted, %d accepted\n", gp.kicks_attempted,
                 gp.kicks_accepted);

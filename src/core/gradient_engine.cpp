@@ -165,23 +165,20 @@ void GradientEngine::density_pass_fenced(const float* x, const float* y,
     disp.run("density.fence_copy_blockage_", [&] {
       std::copy(sys.blockage.begin(), sys.blockage.end(), sys.map.begin());
     });
-    if (pool != nullptr) {
-      ops::accumulate_cells_mt(grid_, "density.fence_movable", x, y,
-                               sys.movable, sys.map.data(), /*clear=*/false,
-                               *pool);
-    } else {
-      grid_.accumulate_cells("density.fence_movable", x, y, sys.movable,
-                             sys.map.data(), /*clear=*/false);
-    }
+    const auto scatter = [&](const char* opname,
+                             const std::vector<std::uint32_t>& cells) {
+      ScopedTimer scatter_timer(phase_timers_, "gp.phase.scatter");
+      if (pool != nullptr) {
+        ops::accumulate_cells_mt(grid_, opname, x, y, cells, sys.map.data(),
+                                 /*clear=*/false, *pool);
+      } else {
+        grid_.accumulate_cells(opname, x, y, cells, sys.map.data(),
+                               /*clear=*/false);
+      }
+    };
+    scatter("density.fence_movable", sys.movable);
     over_area += grid_.overflow_area(sys.map.data());
-    if (pool != nullptr) {
-      ops::accumulate_cells_mt(grid_, "density.fence_filler", x, y,
-                               sys.fillers, sys.map.data(), /*clear=*/false,
-                               *pool);
-    } else {
-      grid_.accumulate_cells("density.fence_filler", x, y, sys.fillers,
-                             sys.map.data(), /*clear=*/false);
-    }
+    scatter("density.fence_filler", sys.fillers);
     solver_.solve(sys.map.data(), /*want_potential=*/!cfg_.op_reduction);
     std::vector<double>& ex = solver_.mutable_ex();
     std::vector<double>& ey = solver_.mutable_ey();
@@ -226,39 +223,35 @@ void GradientEngine::density_pass(const float* x, const float* y,
   ThreadPool* pool = pool_or_null();
   const bool want_potential = !cfg_.op_reduction;
 
-  if (cfg_.op_extraction) {
-    // D (movable + fixed) once; filler map separately; D̃ via one add; OVFL
-    // reuses D.
+  const auto scatter = [&](const char* opname, std::size_t begin,
+                           std::size_t end, double* map) {
     if (pool != nullptr) {
-      ops::accumulate_range_mt(grid_, "density.map_physical", x, y, 0,
-                               n_physical_, dmap_.data(), true, *pool);
-      ops::accumulate_range_mt(grid_, "density.map_filler", x, y, n_physical_,
-                               n_total_, dmap_fl_.data(), true, *pool);
+      ops::accumulate_range_mt(grid_, opname, x, y, begin, end, map, true,
+                               *pool);
     } else {
-      grid_.accumulate_range("density.map_physical", x, y, 0, n_physical_,
-                             dmap_.data(), true);
-      grid_.accumulate_range("density.map_filler", x, y, n_physical_, n_total_,
-                             dmap_fl_.data(), true);
+      grid_.accumulate_range(opname, x, y, begin, end, map, true);
     }
+  };
+  {
+    ScopedTimer scatter_timer(phase_timers_, "gp.phase.scatter");
+    if (cfg_.op_extraction) {
+      // D (movable + fixed) once; filler map separately; D̃ via one add
+      // below; OVFL reuses D.
+      scatter("density.map_physical", 0, n_physical_, dmap_.data());
+      scatter("density.map_filler", n_physical_, n_total_, dmap_fl_.data());
+    } else {
+      // Joint accumulation for the electrostatic map AND a second scatter of
+      // the physical cells for the overflow metric (the redundancy extraction
+      // removes).
+      scatter("density.map_joint", 0, n_total_, dmap_total_.data());
+      scatter("density.map_overflow", 0, n_physical_, dmap_.data());
+    }
+  }
+  if (cfg_.op_extraction) {
     disp.run("density.add_maps_", [&] {
       for (std::size_t b = 0; b < dmap_.size(); ++b)
         dmap_total_[b] = dmap_[b] + dmap_fl_[b];
     });
-  } else {
-    // Joint accumulation for the electrostatic map AND a second scatter of
-    // the physical cells for the overflow metric (the redundancy extraction
-    // removes).
-    if (pool != nullptr) {
-      ops::accumulate_range_mt(grid_, "density.map_joint", x, y, 0, n_total_,
-                               dmap_total_.data(), true, *pool);
-      ops::accumulate_range_mt(grid_, "density.map_overflow", x, y, 0,
-                               n_physical_, dmap_.data(), true, *pool);
-    } else {
-      grid_.accumulate_range("density.map_joint", x, y, 0, n_total_,
-                             dmap_total_.data(), true);
-      grid_.accumulate_range("density.map_overflow", x, y, 0, n_physical_,
-                             dmap_.data(), true);
-    }
   }
   res.overflow = grid_.overflow(dmap_.data());
 

@@ -93,8 +93,9 @@ class GradientEngine {
   void save_state(StateBlob& out) const;
   void restore_state(const StateBlob& in);
 
-  /// Accumulated wall-clock per phase (gp.phase.wirelength / density / fft /
-  /// field) — the timers the `--threads` speedup is measured against.
+  /// Accumulated wall-clock per phase (gp.phase.wirelength / density /
+  /// scatter / fft / field) — the timers the `--threads` speedup is
+  /// measured against.
   const TimerRegistry& phase_timers() const { return phase_timers_; }
 
  private:

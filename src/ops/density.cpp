@@ -13,25 +13,27 @@ namespace xplace::ops {
 using tensor::Dispatcher;
 
 DensityGrid::DensityGrid(const db::Database& db, int m)
-    : m_(m),
-      region_lx_(db.region().lx),
-      region_ly_(db.region().ly),
-      bin_w_(db.region().width() / m),
-      bin_h_(db.region().height() / m),
-      inv_bin_w_(1.0 / bin_w_),
-      inv_bin_h_(1.0 / bin_h_),
-      inv_bin_area_(1.0 / (bin_w_ * bin_h_)),
-      target_density_(db.target_density()),
-      total_movable_area_(db.total_movable_area()) {
+    : target_density_(db.target_density()),
+      total_movable_area_(db.total_movable_area()),
+      half_w_(db.num_cells_total()),
+      half_h_(db.num_cells_total()),
+      dens_scale_(db.num_cells_total()),
+      footprints_(db.num_cells_total() - db.num_fixed()) {
   if (!fft::is_pow2(static_cast<std::size_t>(m))) {
     throw std::invalid_argument("density grid dimension must be a power of two");
   }
+  const double bin_w = db.region().width() / m;
+  const double bin_h = db.region().height() / m;
+  g_ = {.lx = db.region().lx, .ly = db.region().ly,
+        .bin_w = bin_w, .bin_h = bin_h,
+        .inv_bin_w = 1.0 / bin_w, .inv_bin_h = 1.0 / bin_h,
+        .inv_bin_area = 1.0 / (bin_w * bin_h), .m = m,
+        .half_w = half_w_.data(), .half_h = half_h_.data(),
+        .scale = dens_scale_.data(), .table = footprints_.data(),
+        .nm = db.num_movable(), .np = db.num_physical()};
   const std::size_t n = db.num_cells_total();
-  half_w_.resize(n);
-  half_h_.resize(n);
-  dens_scale_.resize(n);
-  const double min_w = bin_w_ * std::numbers::sqrt2;
-  const double min_h = bin_h_ * std::numbers::sqrt2;
+  const double min_w = bin_w * std::numbers::sqrt2;
+  const double min_h = bin_h * std::numbers::sqrt2;
   for (std::size_t c = 0; c < n; ++c) {
     const bool fixed = db.kind(c) == db::CellKind::kFixed;
     double w = db.width(c), h = db.height(c);
@@ -59,19 +61,7 @@ void DensityGrid::accumulate_range(const char* opname, const float* x,
                                    bool clear) const {
   Dispatcher::global().run(opname, [&] {
     if (clear) std::fill(map, map + num_bins(), 0.0);
-    const simd::Kernels& k = simd::active();
-    if (k.isa == simd::Isa::kScalar) {
-      for (std::size_t c = begin; c < end; ++c) {
-        const double scale = dens_scale_[c] * inv_bin_area_;
-        for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          map[bin] += overlap * scale;
-        });
-      }
-      return;
-    }
-    for (std::size_t c = begin; c < end; ++c) {
-      scatter_one(k, c, x, y, dens_scale_[c] * inv_bin_area_, map);
-    }
+    scatter(x, y, {nullptr, begin, end - begin}, map);
   });
 }
 
@@ -83,7 +73,7 @@ double DensityGrid::overflow(const double* density_map) const {
 double DensityGrid::overflow_area(const double* density_map) const {
   double over_area = 0.0;
   Dispatcher::global().run("overflow_ratio", [&] {
-    const double bin_area = bin_w_ * bin_h_;
+    const double bin_area = g_.bin_w * g_.bin_h;
     for (std::size_t b = 0; b < num_bins(); ++b) {
       over_area += std::max(density_map[b] - target_density_, 0.0) * bin_area;
     }
@@ -97,19 +87,7 @@ void DensityGrid::accumulate_cells(const char* opname, const float* x,
                                    double* map, bool clear) const {
   Dispatcher::global().run(opname, [&] {
     if (clear) std::fill(map, map + num_bins(), 0.0);
-    const simd::Kernels& k = simd::active();
-    if (k.isa == simd::Isa::kScalar) {
-      for (const std::uint32_t c : cells) {
-        const double scale = dens_scale_[c] * inv_bin_area_;
-        for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          map[bin] += overlap * scale;
-        });
-      }
-      return;
-    }
-    for (const std::uint32_t c : cells) {
-      scatter_one(k, c, x, y, dens_scale_[c] * inv_bin_area_, map);
-    }
+    scatter(x, y, {cells.data(), 0, cells.size()}, map);
   });
 }
 
@@ -120,21 +98,8 @@ void DensityGrid::gather_field_cells(const char* opname, const float* x,
                                      float coeff, float* grad_x,
                                      float* grad_y) const {
   Dispatcher::global().run(opname, [&] {
-    const simd::Kernels& k = simd::active();
-    for (const std::uint32_t c : cells) {
-      double fx = 0.0, fy = 0.0;
-      if (k.isa == simd::Isa::kScalar) {
-        for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          fx += overlap * ex[bin];
-          fy += overlap * ey[bin];
-        });
-      } else {
-        gather_one(k, c, x, y, ex, ey, &fx, &fy);
-      }
-      const double q = dens_scale_[c] * inv_bin_area_;
-      grad_x[c] += coeff * static_cast<float>(q * fx);
-      grad_y[c] += coeff * static_cast<float>(q * fy);
-    }
+    gather(x, y, {cells.data(), 0, cells.size()}, ex, ey, coeff, grad_x,
+           grad_y);
   });
 }
 
@@ -144,27 +109,13 @@ void DensityGrid::gather_field(const char* opname, const float* x,
                                const double* ey, float coeff, float* grad_x,
                                float* grad_y) const {
   Dispatcher::global().run(opname, [&] {
-    const simd::Kernels& k = simd::active();
-    for (std::size_t c = begin; c < end; ++c) {
-      double fx = 0.0, fy = 0.0;
-      if (k.isa == simd::Isa::kScalar) {
-        for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          fx += overlap * ex[bin];
-          fy += overlap * ey[bin];
-        });
-      } else {
-        gather_one(k, c, x, y, ex, ey, &fx, &fy);
-      }
-      const double q = dens_scale_[c] * inv_bin_area_;
-      grad_x[c] += coeff * static_cast<float>(q * fx);
-      grad_y[c] += coeff * static_cast<float>(q * fy);
-    }
+    gather(x, y, {nullptr, begin, end - begin}, ex, ey, coeff, grad_x, grad_y);
   });
 }
 
 double DensityGrid::total_area(const double* map) const {
   double acc = 0.0;
-  const double bin_area = bin_w_ * bin_h_;
+  const double bin_area = g_.bin_w * g_.bin_h;
   for (std::size_t b = 0; b < num_bins(); ++b) acc += map[b] * bin_area;
   return acc;
 }

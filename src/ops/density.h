@@ -15,10 +15,19 @@
 // exposed here so the ablation measures the real cost difference.
 //
 // Map layout: row-major `map[ix * m + iy]`, dimension 0 = x.
+//
+// Footprint cache (DESIGN.md §17): every scatter stores each movable or
+// filler cell's footprint (first bin, ≤3×3 per-column and per-row overlaps
+// exactly as the active SIMD backend computes them, and the float position
+// it was built from) in a 64 B entry. A gather reuses an entry only when its
+// position tag matches the cell's position bit for bit, and otherwise
+// rebuilds the footprint with the same arithmetic, so results never depend
+// on the cache. Fixed cells and footprints above 3×3 are never cached. The
+// scatters write entries from `const` methods: two callers must not scatter
+// overlapping cells into one grid at once (the pooled kernels partition by
+// cell). The table is transient: it is not part of checkpoint state.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -32,12 +41,17 @@ class DensityGrid {
   /// Must be constructed after fillers are inserted (footprints are cached
   /// for every cell id). `m` must be a power of two for the Poisson solver.
   DensityGrid(const db::Database& db, int m);
+  // Not copyable: g_ points into the members.
+  DensityGrid(const DensityGrid&) = delete;
+  DensityGrid& operator=(const DensityGrid&) = delete;
 
-  int m() const { return m_; }
-  double bin_w() const { return bin_w_; }
-  double bin_h() const { return bin_h_; }
-  double bin_area() const { return bin_w_ * bin_h_; }
-  std::size_t num_bins() const { return static_cast<std::size_t>(m_) * m_; }
+  int m() const { return g_.m; }
+  double bin_w() const { return g_.bin_w; }
+  double bin_h() const { return g_.bin_h; }
+  double bin_area() const { return g_.bin_w * g_.bin_h; }
+  std::size_t num_bins() const {
+    return static_cast<std::size_t>(g_.m) * g_.m;
+  }
 
   /// Scatter cells [begin, end) into `map` (adds; optionally clears first).
   /// Positions are center coordinates indexed by cell id. One kernel launch
@@ -81,103 +95,26 @@ class DensityGrid {
   /// scaled cell area scattered into it).
   double total_area(const double* map) const;
 
-  /// Visits every (bin, overlap_area) pair of a cell's (smoothed) footprint.
-  /// Public so the multi-threaded kernel variants (ops/parallel.h) can reuse
-  /// the exact same footprint math.
-  template <typename Fn>
-  void for_each_overlap(std::size_t cell, const float* x, const float* y,
-                        Fn&& fn) const {
-    const double lx = x[cell] - half_w_[cell], hx = x[cell] + half_w_[cell];
-    const double ly = y[cell] - half_h_[cell], hy = y[cell] + half_h_[cell];
-    int bx0 = static_cast<int>(std::floor((lx - region_lx_) * inv_bin_w_));
-    int bx1 = static_cast<int>(std::floor((hx - region_lx_) * inv_bin_w_));
-    int by0 = static_cast<int>(std::floor((ly - region_ly_) * inv_bin_h_));
-    int by1 = static_cast<int>(std::floor((hy - region_ly_) * inv_bin_h_));
-    bx0 = std::clamp(bx0, 0, m_ - 1);
-    bx1 = std::clamp(bx1, 0, m_ - 1);
-    by0 = std::clamp(by0, 0, m_ - 1);
-    by1 = std::clamp(by1, 0, m_ - 1);
-    for (int bx = bx0; bx <= bx1; ++bx) {
-      const double bin_lx = region_lx_ + bx * bin_w_;
-      const double ow = std::min(hx, bin_lx + bin_w_) - std::max(lx, bin_lx);
-      if (ow <= 0.0) continue;
-      for (int by = by0; by <= by1; ++by) {
-        const double bin_ly = region_ly_ + by * bin_h_;
-        const double oh = std::min(hy, bin_ly + bin_h_) - std::max(ly, bin_ly);
-        if (oh <= 0.0) continue;
-        fn(static_cast<std::size_t>(bx) * m_ + by, ow * oh);
-      }
-    }
+  /// The launch-free kernels behind the calls above, which the pooled
+  /// variants (ops/parallel.h) run per partition.
+  void scatter(const float* x, const float* y, simd::CellSet cells,
+               double* map) const {
+    simd::active().density_scatter(g_, x, y, cells, map);
   }
-
-  /// Vector-lane scatter of one cell's footprint. In the bx·m+by layout each
-  /// bx column of the footprint is one contiguous by-run, handed to the
-  /// active backend's span kernel (8/4 bins per step). Value-equivalent to
-  /// the for_each_overlap loop (clamped overlaps contribute exactly 0).
-  void scatter_one(const simd::Kernels& k, std::size_t cell, const float* x,
-                   const float* y, double scale, double* map) const {
-    const double lx = x[cell] - half_w_[cell], hx = x[cell] + half_w_[cell];
-    const double ly = y[cell] - half_h_[cell], hy = y[cell] + half_h_[cell];
-    int bx0 = static_cast<int>(std::floor((lx - region_lx_) * inv_bin_w_));
-    int bx1 = static_cast<int>(std::floor((hx - region_lx_) * inv_bin_w_));
-    int by0 = static_cast<int>(std::floor((ly - region_ly_) * inv_bin_h_));
-    int by1 = static_cast<int>(std::floor((hy - region_ly_) * inv_bin_h_));
-    bx0 = std::clamp(bx0, 0, m_ - 1);
-    bx1 = std::clamp(bx1, 0, m_ - 1);
-    by0 = std::clamp(by0, 0, m_ - 1);
-    by1 = std::clamp(by1, 0, m_ - 1);
-    const std::size_t span = static_cast<std::size_t>(by1 - by0) + 1;
-    const double ly0 = region_ly_ + by0 * bin_h_;
-    for (int bx = bx0; bx <= bx1; ++bx) {
-      const double bin_lx = region_lx_ + bx * bin_w_;
-      const double ow = std::min(hx, bin_lx + bin_w_) - std::max(lx, bin_lx);
-      if (ow <= 0.0) continue;
-      k.span_scatter(map + static_cast<std::size_t>(bx) * m_ + by0, span, ly,
-                     hy, ly0, bin_h_, ow * scale);
-    }
+  void gather(const float* x, const float* y, simd::CellSet cells,
+              const double* ex, const double* ey, float coeff, float* grad_x,
+              float* grad_y) const {
+    simd::active().density_gather(g_, x, y, cells, ex, ey, coeff, grad_x,
+                                  grad_y);
   }
-
-  /// Vector-lane field gather of one cell's footprint (adjoint of
-  /// scatter_one); accumulates Σ overlap·E into *fx/*fy.
-  void gather_one(const simd::Kernels& k, std::size_t cell, const float* x,
-                  const float* y, const double* ex, const double* ey,
-                  double* fx, double* fy) const {
-    const double lx = x[cell] - half_w_[cell], hx = x[cell] + half_w_[cell];
-    const double ly = y[cell] - half_h_[cell], hy = y[cell] + half_h_[cell];
-    int bx0 = static_cast<int>(std::floor((lx - region_lx_) * inv_bin_w_));
-    int bx1 = static_cast<int>(std::floor((hx - region_lx_) * inv_bin_w_));
-    int by0 = static_cast<int>(std::floor((ly - region_ly_) * inv_bin_h_));
-    int by1 = static_cast<int>(std::floor((hy - region_ly_) * inv_bin_h_));
-    bx0 = std::clamp(bx0, 0, m_ - 1);
-    bx1 = std::clamp(bx1, 0, m_ - 1);
-    by0 = std::clamp(by0, 0, m_ - 1);
-    by1 = std::clamp(by1, 0, m_ - 1);
-    const std::size_t span = static_cast<std::size_t>(by1 - by0) + 1;
-    const double ly0 = region_ly_ + by0 * bin_h_;
-    for (int bx = bx0; bx <= bx1; ++bx) {
-      const double bin_lx = region_lx_ + bx * bin_w_;
-      const double ow = std::min(hx, bin_lx + bin_w_) - std::max(lx, bin_lx);
-      if (ow <= 0.0) continue;
-      const std::size_t row = static_cast<std::size_t>(bx) * m_ + by0;
-      k.span_gather(ex + row, ey + row, span, ly, hy, ly0, bin_h_, ow, fx, fy);
-    }
-  }
-
-  /// Per-cell density weight (smoothing ratio, or target density for fixed).
-  double cell_density_scale(std::size_t cell) const { return dens_scale_[cell]; }
-  double inv_bin_area() const { return inv_bin_area_; }
 
  private:
-  int m_;
-  double region_lx_, region_ly_;
-  double bin_w_, bin_h_;
-  double inv_bin_w_, inv_bin_h_;
-  double inv_bin_area_;
   double target_density_;
   double total_movable_area_;
-
-  // Per-cell cached footprints (expanded half-sizes + density scale).
+  // Per-cell smoothed half-sizes, density scales and footprints.
   std::vector<float> half_w_, half_h_, dens_scale_;
+  mutable std::vector<simd::Footprint> footprints_;
+  simd::DensityGeom g_;
 };
 
 }  // namespace xplace::ops

@@ -118,13 +118,16 @@ namespace {
 
 /// Shared core of the two parallel scatters: partitioned accumulation into
 /// per-slot bin maps followed by a deterministic parallel bin reduction.
-/// `cell_at(i)` maps a partition index in [0, count) to a cell id.
-template <typename CellAt>
+/// Small inputs run the serial kernel in place.
 void scatter_partitioned(const DensityGrid& grid, const float* x,
-                         const float* y, std::size_t count, double* map,
-                         bool clear, ThreadPool& pool, CellAt&& cell_at) {
+                         const float* y, simd::CellSet cells, double* map,
+                         bool clear, ThreadPool& pool) {
   const std::size_t workers = pool.size();
-  const simd::Kernels& k = simd::active();
+  if (workers <= 1 || cells.count < 512) {
+    if (clear) std::fill(map, map + grid.num_bins(), 0.0);
+    grid.scatter(x, y, cells, map);
+    return;
+  }
   auto& s = scratch();
   ensure_buffers(s.bins, workers);
   pool.parallel_for(
@@ -132,21 +135,10 @@ void scatter_partitioned(const DensityGrid& grid, const float* x,
       [&](std::size_t b, std::size_t e_, std::size_t) {
         for (std::size_t w = b; w < e_; ++w) {
           s.bins[w].assign(grid.num_bins(), 0.0);
-          double* m = s.bins[w].data();
-          const std::size_t lo = w * count / workers;
-          const std::size_t hi = (w + 1) * count / workers;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t c = cell_at(i);
-            const double scale =
-                grid.cell_density_scale(c) * grid.inv_bin_area();
-            if (k.isa == simd::Isa::kScalar) {
-              grid.for_each_overlap(c, x, y, [&](std::size_t bin, double ov) {
-                m[bin] += ov * scale;
-              });
-            } else {
-              grid.scatter_one(k, c, x, y, scale, m);
-            }
-          }
+          grid.scatter(x, y,
+                       cells.slice(w * cells.count / workers,
+                                   (w + 1) * cells.count / workers),
+                       s.bins[w].data());
         }
       },
       /*grain=*/1);
@@ -171,19 +163,8 @@ void accumulate_range_mt(const DensityGrid& grid, const char* opname,
                          std::size_t end, double* map, bool clear,
                          ThreadPool& pool) {
   Dispatcher::global().run(opname, [&] {
-    const std::size_t count = end - begin;
-    if (pool.size() <= 1 || count < 512) {
-      if (clear) std::fill(map, map + grid.num_bins(), 0.0);
-      for (std::size_t c = begin; c < end; ++c) {
-        const double scale = grid.cell_density_scale(c) * grid.inv_bin_area();
-        grid.for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          map[bin] += overlap * scale;
-        });
-      }
-      return;
-    }
-    scatter_partitioned(grid, x, y, count, map, clear, pool,
-                        [begin](std::size_t i) { return begin + i; });
+    scatter_partitioned(grid, x, y, {nullptr, begin, end - begin}, map, clear,
+                        pool);
   });
 }
 
@@ -192,18 +173,8 @@ void accumulate_cells_mt(const DensityGrid& grid, const char* opname,
                          const std::vector<std::uint32_t>& cells, double* map,
                          bool clear, ThreadPool& pool) {
   Dispatcher::global().run(opname, [&] {
-    if (pool.size() <= 1 || cells.size() < 512) {
-      if (clear) std::fill(map, map + grid.num_bins(), 0.0);
-      for (const std::uint32_t c : cells) {
-        const double scale = grid.cell_density_scale(c) * grid.inv_bin_area();
-        grid.for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-          map[bin] += overlap * scale;
-        });
-      }
-      return;
-    }
-    scatter_partitioned(grid, x, y, cells.size(), map, clear, pool,
-                        [&cells](std::size_t i) { return cells[i]; });
+    scatter_partitioned(grid, x, y, {cells.data(), 0, cells.size()}, map,
+                        clear, pool);
   });
 }
 
@@ -212,26 +183,14 @@ void gather_field_mt(const DensityGrid& grid, const char* opname,
                      std::size_t end, const double* ex, const double* ey,
                      float coeff, float* grad_x, float* grad_y,
                      ThreadPool& pool) {
+  // Each cell owns its gradient slot and is computed exactly as the serial
+  // kernel computes it.
   Dispatcher::global().run(opname, [&] {
-    // Each cell owns its gradient slot: direct parallel write is safe.
-    const simd::Kernels& k = simd::active();
-    pool.parallel_for(end - begin, [&](std::size_t b, std::size_t e_, std::size_t) {
-      for (std::size_t i = b; i < e_; ++i) {
-        const std::size_t c = begin + i;
-        double fx = 0.0, fy = 0.0;
-        if (k.isa == simd::Isa::kScalar) {
-          grid.for_each_overlap(c, x, y, [&](std::size_t bin, double overlap) {
-            fx += overlap * ex[bin];
-            fy += overlap * ey[bin];
-          });
-        } else {
-          grid.gather_one(k, c, x, y, ex, ey, &fx, &fy);
-        }
-        const double q = grid.cell_density_scale(c) * grid.inv_bin_area();
-        grad_x[c] += coeff * static_cast<float>(q * fx);
-        grad_y[c] += coeff * static_cast<float>(q * fy);
-      }
-    });
+    pool.parallel_for(end - begin,
+                      [&](std::size_t b, std::size_t e, std::size_t) {
+                        grid.gather(x, y, {nullptr, begin + b, e - b}, ex, ey,
+                                    coeff, grad_x, grad_y);
+                      });
   });
 }
 
@@ -241,28 +200,10 @@ void gather_field_cells_mt(const DensityGrid& grid, const char* opname,
                            const double* ex, const double* ey, float coeff,
                            float* grad_x, float* grad_y, ThreadPool& pool) {
   Dispatcher::global().run(opname, [&] {
-    // Fence-system cell lists are disjoint per call and each cell owns its
-    // gradient slot, so direct parallel writes are safe here too.
-    const simd::Kernels& k = simd::active();
     pool.parallel_for(cells.size(),
-                      [&](std::size_t b, std::size_t e_, std::size_t) {
-                        for (std::size_t i = b; i < e_; ++i) {
-                          const std::size_t c = cells[i];
-                          double fx = 0.0, fy = 0.0;
-                          if (k.isa == simd::Isa::kScalar) {
-                            grid.for_each_overlap(
-                                c, x, y, [&](std::size_t bin, double overlap) {
-                                  fx += overlap * ex[bin];
-                                  fy += overlap * ey[bin];
-                                });
-                          } else {
-                            grid.gather_one(k, c, x, y, ex, ey, &fx, &fy);
-                          }
-                          const double q = grid.cell_density_scale(c) *
-                                           grid.inv_bin_area();
-                          grad_x[c] += coeff * static_cast<float>(q * fx);
-                          grad_y[c] += coeff * static_cast<float>(q * fy);
-                        }
+                      [&](std::size_t b, std::size_t e, std::size_t) {
+                        grid.gather(x, y, {cells.data() + b, 0, e - b}, ex, ey,
+                                    coeff, grad_x, grad_y);
                       });
   });
 }

@@ -7,9 +7,10 @@
 //     scatters gradients into its own buffer; buffers are reduced in worker
 //     order — results are bitwise-deterministic for a fixed pool size and
 //     agree with the serial kernels to float accumulation order,
-//   * the density scatter uses per-worker bin maps (reduced the same way),
+//   * the density scatter uses per-worker bin maps (reduced the same way);
+//     below 512 cells it runs the serial kernel in place,
 //   * the field gather is embarrassingly parallel (each cell's gradient slot
-//     is written by exactly one worker).
+//     is written by exactly one worker) and bitwise-equal to the serial one.
 //
 // Each *_mt call still counts as one dispatcher launch: it models one fat
 // kernel, not many. The fused wirelength kernel launches under the SAME op

@@ -11,6 +11,7 @@
 
 #include "telemetry/metrics.h"
 #include "util/logging.h"
+#include "util/simd_footprint.h"
 
 namespace xplace::simd {
 
@@ -184,28 +185,51 @@ void wa_grad(const float* __restrict px, const float* __restrict s,
   }
 }
 
-void span_scatter(double* __restrict map, std::size_t n, double ly, double hy,
-                  double ly0, double h, double wscale) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const double bin_ly = ly0 + static_cast<double>(j) * h;
-    const double oh = std::min(hy, bin_ly + h) - std::max(ly, bin_ly);
-    if (oh > 0.0) map[j] += oh * wscale;
+// Density footprints (util/simd_footprint.h): the historical per-bin loop.
+// Each overlap is ow·oh, bins with a non-positive row overlap are skipped,
+// and the gather sums bin by bin.
+struct Footprints {
+  static double row(const DensityGeom& g, const CellBox& b, int by) {
+    const double bin_ly = g.ly + by * g.bin_h;
+    return std::min(b.hy, bin_ly + g.bin_h) - std::max(b.ly, bin_ly);
   }
-}
-void span_gather(const double* __restrict ex, const double* __restrict ey,
-                 std::size_t n, double ly, double hy, double ly0, double h,
-                 double ow, double* fx, double* fy) {
-  double ax = 0.0, ay = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double bin_ly = ly0 + static_cast<double>(j) * h;
-    const double oh = std::min(hy, bin_ly + h) - std::max(ly, bin_ly);
-    if (oh > 0.0) {
-      ax += oh * ow * ex[j];
-      ay += oh * ow * ey[j];
+  static const double* rows(const DensityGeom& g, const CellBox& b,
+                            double* oh) {
+    for (int j = 0; j <= b.by1 - b.by0; ++j) oh[j] = row(g, b, b.by0 + j);
+    return oh;
+  }
+  template <typename Oh>
+  static void scatter(double* col, int ny, Oh&& oh, double ow, double scale) {
+    for (int j = 0; j < ny; ++j) {
+      const double h = oh[j];
+      if (h > 0.0) col[j] += ow * h * scale;
     }
   }
-  *fx += ax;
-  *fy += ay;
+  template <typename Oh>
+  static void gather(const double* ex, const double* ey, int ny, Oh&& oh,
+                     double ow, double& fx, double& fy) {
+    for (int j = 0; j < ny; ++j) {
+      const double h = oh[j];
+      if (h <= 0.0) continue;
+      fx += ow * h * ex[j];
+      fy += ow * h * ey[j];
+    }
+  }
+  struct Rows {  // a span's row overlaps, computed on demand
+    const DensityGeom& g;
+    const CellBox& b;
+    double operator[](int j) const { return row(g, b, b.by0 + j); }
+  };
+  static Rows span(const DensityGeom& g, const CellBox& b) { return {g, b}; }
+};
+void density_scatter(const DensityGeom& g, const float* x, const float* y,
+                     CellSet cells, double* map) {
+  footprint::scatter<Footprints>(g, x, y, cells, map);
+}
+void density_gather(const DensityGeom& g, const float* x, const float* y,
+                    CellSet cells, const double* ex, const double* ey,
+                    float coeff, float* grad_x, float* grad_y) {
+  footprint::gather<Footprints>(g, x, y, cells, ex, ey, coeff, grad_x, grad_y);
 }
 
 // One radix-2 stage, expressed in std::complex exactly as the historical
@@ -492,8 +516,8 @@ const Kernels& scalar_kernels() {
       .minmax = scalar::minmax,
       .wa_sums = scalar::wa_sums,
       .wa_grad = scalar::wa_grad,
-      .span_scatter = scalar::span_scatter,
-      .span_gather = scalar::span_gather,
+      .density_scatter = scalar::density_scatter,
+      .density_gather = scalar::density_gather,
       .fft_pass = scalar::fft_pass,
       .conj_scale = scalar::conj_scale,
       .dct_pack = scalar::dct_pack,

@@ -3,7 +3,7 @@
 // The paper's operators owe their speed to data-parallel GPU kernels; on this
 // CPU substrate the analogous axis (after PR 3's thread pool) is vector
 // lanes. Every hot inner loop — elementwise tensor ops, the fused WA
-// wirelength exp-sums, density scatter/gather bin spans, FFT butterflies, and
+// wirelength exp-sums, density footprint scatter/gather, FFT butterflies, and
 // the Nesterov update — routes through the function-pointer table below
 // (ggml-style), with two backends:
 //
@@ -29,6 +29,9 @@
 // across workers and each chunk runs vector lanes internally.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -47,6 +50,75 @@ enum class Isa : int { kScalar = 0, kAvx2 = 2 };
 struct WaSums {
   double sum_e_max = 0.0, sum_xe_max = 0.0;  // Σs, Σx·s, s = exp((x-max)/γ)
   double sum_e_min = 0.0, sum_xe_min = 0.0;  // Σu, Σx·u, u = exp((min-x)/γ)
+};
+
+/// A cell's cached density footprint (ops/density.h): first bin bx0·m + by0,
+/// nx×ny ≤ 3×3, and the column/row overlaps as its backend computes them,
+/// tagged with the float position it was built from (nx == 0: never built).
+struct alignas(64) Footprint {
+  double ow[3], oh[3];
+  float x, y;
+  std::uint32_t bin0;
+  std::uint8_t nx, ny;
+
+  bool matches(float px, float py) const {
+    using B = std::uint32_t;
+    return nx != 0 && std::bit_cast<B>(x) == std::bit_cast<B>(px) &&
+           std::bit_cast<B>(y) == std::bit_cast<B>(py);
+  }
+};
+static_assert(sizeof(Footprint) == 64);
+
+/// A cell's (smoothed) footprint rectangle and its clamped bin range.
+struct CellBox {
+  double lx, hx, ly, hy;
+  int bx0, bx1, by0, by1;
+
+  bool exceeds_3x3() const { return bx1 - bx0 > 2 || by1 - by0 > 2; }
+};
+
+/// A density grid as the footprint kernels see it: the bin geometry, the
+/// per-cell smoothed half-sizes and density scales (by cell id), and the
+/// footprint table. Fixed cells [nm, np) have no table entry.
+struct DensityGeom {
+  double lx, ly, bin_w, bin_h, inv_bin_w, inv_bin_h, inv_bin_area;
+  int m;
+  const float *half_w, *half_h, *scale;
+  Footprint* table;
+  std::size_t nm, np;
+
+  Footprint* entry(std::size_t c) const {
+    if (c < nm) return table + c;
+    return c < np ? nullptr : table + (c - (np - nm));
+  }
+  [[gnu::always_inline]] CellBox box(std::size_t c, const float* x,
+                                     const float* y) const {
+    const double l = x[c] - half_w[c], r = x[c] + half_w[c];
+    const double d = y[c] - half_h[c], u = y[c] + half_h[c];
+    const auto bin = [this](double v, double inv) {
+      return std::clamp(static_cast<int>(std::floor(v * inv)), 0, m - 1);
+    };
+    return {l, r, d, u, bin(l - lx, inv_bin_w), bin(r - lx, inv_bin_w),
+            bin(d - ly, inv_bin_h), bin(u - ly, inv_bin_h)};
+  }
+  /// x-overlap of box `b` with bin column bx (≤ 0 when they do not meet).
+  double col_overlap(const CellBox& b, int bx) const {
+    const double bin_lx = lx + bx * bin_w;
+    return std::min(b.hx, bin_lx + bin_w) - std::max(b.lx, bin_lx);
+  }
+};
+
+/// The cells one density kernel visits: ids[i], or first + i if ids is null.
+struct CellSet {
+  const std::uint32_t* ids;
+  std::size_t first, count;
+
+  std::size_t operator[](std::size_t i) const {
+    return ids ? ids[i] : first + i;
+  }
+  CellSet slice(std::size_t lo, std::size_t hi) const {
+    return {ids ? ids + lo : nullptr, first + lo, hi - lo};
+  }
 };
 
 /// One backend: a flat function-pointer table. All pointers are always
@@ -112,14 +184,15 @@ struct Kernels {
                   std::size_t n, float inv_gamma, double wl_max, double wl_min,
                   double inv_smax, double inv_smin, float weight, float* d);
 
-  // ---- density bin spans (f64; one contiguous row-run of bins) ----
-  /// map[j] += max(0, min(hy, ly0+(j+1)h) − max(ly, ly0+j·h)) · wscale.
-  void (*span_scatter)(double* map, std::size_t n, double ly, double hy,
-                       double ly0, double h, double wscale);
-  /// fx += Σ_j oh_j·ow·ex[j], fy += Σ_j oh_j·ow·ey[j] with the same oh_j.
-  void (*span_gather)(const double* ex, const double* ey, std::size_t n,
-                      double ly, double hy, double ly0, double h, double ow,
-                      double* fx, double* fy);
+  // ---- density footprints (f64 maps, map[bx·m + by]) ----
+  /// map[b] += overlap(c, b)·scale[c]/A_b per cell, storing its footprint.
+  void (*density_scatter)(const DensityGeom& g, const float* x, const float* y,
+                          CellSet cells, double* map);
+  /// grad[c] += coeff·(scale[c]/A_b)·Σ_b overlap(c, b)·E_b per axis, from the
+  /// cell's stored footprint when its position tag matches.
+  void (*density_gather)(const DensityGeom& g, const float* x, const float* y,
+                         CellSet cells, const double* ex, const double* ey,
+                         float coeff, float* grad_x, float* grad_y);
 
   // ---- FFT butterflies (interleaved complex f64) ----
   /// One radix-2 stage of length `len` over `n` complex values: for every

@@ -24,6 +24,12 @@
 #include <cstdint>
 #include <limits>
 
+// The shared footprint loop, compiled for this backend's target.
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+#include "util/simd_footprint.h"
+#pragma GCC pop_options
+
 #define XP_TGT __attribute__((target("avx2,fma")))
 
 namespace xplace::simd {
@@ -609,73 +615,114 @@ XP_TGT void wa_grad(const float* px, const float* s, const float* u,
   }
 }
 
-// ---- density bin spans -----------------------------------------------------
+// ---- density footprints ----------------------------------------------------
 
-XP_TGT void span_scatter(double* map, std::size_t n, double ly, double hy,
-                         double ly0, double h, double wscale) {
-  const __m256d vh = _mm256_set1_pd(h);
-  const __m256d vly = _mm256_set1_pd(ly);
-  const __m256d vhy = _mm256_set1_pd(hy);
-  const __m256d vws = _mm256_set1_pd(wscale);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d step = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  std::size_t j = 0;
-  for (; j < n; j += 4) {
-    const std::size_t rem = n - j;
-    const __m256d idx =
-        _mm256_add_pd(_mm256_set1_pd(static_cast<double>(j)), step);
+// The footprint kernels (util/simd_footprint.h). Every column is one
+// contiguous run of rows (a Span) processed 4 rows per vector. Up to 3×3 the
+// rows are lanes 0..ny−1 of the first vector, computed once per cell and
+// cached; the gather then sums each column's (oh·ow)·E terms in scalar code
+// in hsum4's lane order (the zero tail lanes change no sum).
+struct Span {
+  double ly, hy, ly0, h;  // cell bottom/top, bottom of the first row, height
+
+  /// max(0, min(hy, ly0+(j+1)h) − max(ly, ly0+j·h)) for rows j..j+3.
+  XP_TGT __m256d rows(std::size_t j) const {
+    const __m256d vh = _mm256_set1_pd(h);
+    const __m256d idx = _mm256_add_pd(_mm256_set1_pd(static_cast<double>(j)),
+                                      _mm256_set_pd(3.0, 2.0, 1.0, 0.0));
     const __m256d bin_ly = _mm256_fmadd_pd(idx, vh, _mm256_set1_pd(ly0));
-    const __m256d oh = _mm256_max_pd(
-        zero, _mm256_sub_pd(_mm256_min_pd(vhy, _mm256_add_pd(bin_ly, vh)),
-                            _mm256_max_pd(vly, bin_ly)));
-    if (rem >= 4) {
-      _mm256_storeu_pd(map + j,
-                       _mm256_fmadd_pd(oh, vws, _mm256_loadu_pd(map + j)));
-    } else {
-      const __m256i m = mask4(rem);
-      _mm256_maskstore_pd(
-          map + j, m, _mm256_fmadd_pd(oh, vws, _mm256_maskload_pd(map + j, m)));
+    return _mm256_max_pd(
+        _mm256_setzero_pd(),
+        _mm256_sub_pd(
+            _mm256_min_pd(_mm256_set1_pd(hy), _mm256_add_pd(bin_ly, vh)),
+            _mm256_max_pd(_mm256_set1_pd(ly), bin_ly)));
+  }
+};
+
+struct Footprints {
+  XP_TGT static Span span(const DensityGeom& g, const CellBox& b) {
+    return {b.ly, b.hy, g.ly + b.by0 * g.bin_h, g.bin_h};
+  }
+  XP_TGT static __m256d rows(const DensityGeom& g, const CellBox& b,
+                             double* oh) {
+    const __m256d v = span(g, b).rows(0);
+    // Plain (not masked) stores, so reloads of the entry forward.
+    _mm_storeu_pd(oh, _mm256_castpd256_pd128(v));
+    _mm_store_sd(oh + 2, _mm256_extractf128_pd(v, 1));
+    return v;
+  }
+  /// col[j] += oh_j·(ow·scale): the cached rows, or a whole span.
+  XP_TGT static void scatter(double* col, int ny, __m256d oh, double ow,
+                             double scale) {
+    const __m256i m = mask4(static_cast<std::size_t>(ny));
+    _mm256_maskstore_pd(col, m,
+                        _mm256_fmadd_pd(oh, _mm256_set1_pd(ow * scale),
+                                        _mm256_maskload_pd(col, m)));
+  }
+  XP_TGT static void scatter(double* col, int ny, const Span& s, double ow,
+                             double scale) {
+    const std::size_t n = static_cast<std::size_t>(ny);
+    const __m256d vws = _mm256_set1_pd(ow * scale);
+    for (std::size_t j = 0; j < n; j += 4) {
+      if (n - j < 4) {
+        scatter(col + j, static_cast<int>(n - j), s.rows(j), ow, scale);
+      } else {
+        _mm256_storeu_pd(col + j, _mm256_fmadd_pd(s.rows(j), vws,
+                                                  _mm256_loadu_pd(col + j)));
+      }
     }
   }
+  /// fx += Σ_j (oh_j·ow)·ex[j], fy likewise.
+  XP_TGT static void gather(const double* ex, const double* ey, int ny,
+                            const double* oh, double ow, double& fx,
+                            double& fy) {
+    double w = oh[0] * ow;
+    double sx = w * ex[0], sy = w * ey[0];
+    for (int j = 1; j < ny; ++j) {
+      w = oh[j] * ow;
+      sx += w * ex[j];
+      sy += w * ey[j];
+    }
+    fx += sx;
+    fy += sy;
+  }
+  XP_TGT static void gather(const double* ex, const double* ey, int ny,
+                            const Span& s, double ow, double& fx, double& fy) {
+    const std::size_t n = static_cast<std::size_t>(ny);
+    const __m256d vow = _mm256_set1_pd(ow);
+    __m256d ax = _mm256_setzero_pd(), ay = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < n; j += 4) {
+      __m256d oh = s.rows(j);
+      __m256d vex, vey;
+      if (n - j >= 4) {
+        vex = _mm256_loadu_pd(ex + j);
+        vey = _mm256_loadu_pd(ey + j);
+      } else {
+        // Zero the dead lanes of oh; the masked-out field loads are 0 too.
+        const __m256i m = mask4(n - j);
+        oh = _mm256_and_pd(oh, _mm256_castsi256_pd(m));
+        vex = _mm256_maskload_pd(ex + j, m);
+        vey = _mm256_maskload_pd(ey + j, m);
+      }
+      const __m256d w = _mm256_mul_pd(oh, vow);
+      ax = _mm256_fmadd_pd(w, vex, ax);
+      ay = _mm256_fmadd_pd(w, vey, ay);
+    }
+    fx += hsum4(ax);
+    fy += hsum4(ay);
+  }
+};
+
+XP_TGT void density_scatter(const DensityGeom& g, const float* x,
+                            const float* y, CellSet cells, double* map) {
+  footprint::scatter<Footprints>(g, x, y, cells, map);
 }
 
-XP_TGT void span_gather(const double* ex, const double* ey, std::size_t n,
-                        double ly, double hy, double ly0, double h, double ow,
-                        double* fx, double* fy) {
-  const __m256d vh = _mm256_set1_pd(h);
-  const __m256d vly = _mm256_set1_pd(ly);
-  const __m256d vhy = _mm256_set1_pd(hy);
-  const __m256d vow = _mm256_set1_pd(ow);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d step = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  __m256d ax = _mm256_setzero_pd(), ay = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j < n; j += 4) {
-    const std::size_t rem = n - j;
-    const __m256d idx =
-        _mm256_add_pd(_mm256_set1_pd(static_cast<double>(j)), step);
-    const __m256d bin_ly = _mm256_fmadd_pd(idx, vh, _mm256_set1_pd(ly0));
-    __m256d oh = _mm256_max_pd(
-        zero, _mm256_sub_pd(_mm256_min_pd(vhy, _mm256_add_pd(bin_ly, vh)),
-                            _mm256_max_pd(vly, bin_ly)));
-    __m256d vex, vey;
-    if (rem >= 4) {
-      vex = _mm256_loadu_pd(ex + j);
-      vey = _mm256_loadu_pd(ey + j);
-    } else {
-      const __m256i m = mask4(rem);
-      // Zero the dead lanes of oh so the masked-out field values (loaded as
-      // 0 anyway) contribute nothing.
-      oh = _mm256_and_pd(oh, _mm256_castsi256_pd(m));
-      vex = _mm256_maskload_pd(ex + j, m);
-      vey = _mm256_maskload_pd(ey + j, m);
-    }
-    const __m256d w = _mm256_mul_pd(oh, vow);
-    ax = _mm256_fmadd_pd(w, vex, ax);
-    ay = _mm256_fmadd_pd(w, vey, ay);
-  }
-  *fx += hsum4(ax);
-  *fy += hsum4(ay);
+XP_TGT void density_gather(const DensityGeom& g, const float* x,
+                           const float* y, CellSet cells, const double* ex,
+                           const double* ey, float coeff, float* grad_x,
+                           float* grad_y) {
+  footprint::gather<Footprints>(g, x, y, cells, ex, ey, coeff, grad_x, grad_y);
 }
 
 // ---- FFT butterflies -------------------------------------------------------
@@ -1127,8 +1174,8 @@ const Kernels* avx2_kernels_or_null() {
       .minmax = avx2::minmax,
       .wa_sums = avx2::wa_sums,
       .wa_grad = avx2::wa_grad,
-      .span_scatter = avx2::span_scatter,
-      .span_gather = avx2::span_gather,
+      .density_scatter = avx2::density_scatter,
+      .density_gather = avx2::density_gather,
       .fft_pass = avx2::fft_pass,
       .conj_scale = avx2::conj_scale,
       .dct_pack = avx2::dct_pack,

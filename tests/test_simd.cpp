@@ -360,34 +360,125 @@ TEST(SimdWa, SumsAndGradWithinTolerance) {
   }
 }
 
-// ---------------- density bin spans ----------------
+// ---------------- density footprints ----------------
+
+/// Cells on a 32×32 grid of 2×2 bins at (10, 10), each in its own 4-bin
+/// block and reaching half a bin into its first and last column and row, so
+/// every column and row overlap is exact: 1 at the ends and 2 inside. Cells
+/// 0–31 are 2–3 × 2–3 bins (cached footprints); cells 32–39 span 4–11 rows
+/// (the span path, masked tails included). The field is noise in [−1, 1) plus
+/// +2^50 and −2^50 on two bins of equal weight in each cell's footprint, once
+/// for E_x and once for E_y. The large terms cancel exactly, so each float
+/// gradient carries the rounding of its double sum, and summing the terms in
+/// another order shows in the gradient bits.
+struct CancellingFootprints {
+  static constexpr int m = 32;
+  static constexpr std::size_t n = 40;
+  std::vector<float> x, y, hw, hh, scale;
+  std::vector<double> ex, ey;
+
+  CancellingFootprints() {
+    Rng rng(17);
+    for (int b = 0; b < m * m; ++b) {
+      ex.push_back(rng.uniform(-1.0, 1.0));
+      ey.push_back(rng.uniform(-1.0, 1.0));
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      const int k = static_cast<int>(c);
+      const bool span = k >= 32;
+      const int bx0 = 4 * (k % 8), by0 = span ? 16 : 4 * (k / 8);
+      const int nx = 2 + k % 2, ny = span ? k - 28 : 2 + k / 2 % 2;
+      x.push_back(static_cast<float>(10 + 2 * bx0 + nx));
+      y.push_back(static_cast<float>(10 + 2 * by0 + ny));
+      hw.push_back(static_cast<float>(nx - 1));
+      hh.push_back(static_cast<float>(ny - 1));
+      scale.push_back(0.25f * static_cast<float>(1 + k % 3));
+      cancel(rng, ex, bx0, nx, by0, ny);
+      cancel(rng, ey, bx0, nx, by0, ny);
+    }
+  }
+
+  static void cancel(Rng& rng, std::vector<double>& e, int bx0, int nx,
+                     int by0, int ny) {
+    // Weight class = number of axes on which the bin is inside: 1, 2 or 4.
+    std::vector<int> cls[3];
+    for (int i = 0; i < nx; ++i) {
+      for (int j = 0; j < ny; ++j) {
+        const int inner = (i > 0 && i < nx - 1) + (j > 0 && j < ny - 1);
+        cls[inner].push_back((bx0 + i) * m + by0 + j);
+      }
+    }
+    const std::vector<int>* bins = nullptr;
+    do {
+      bins = &cls[rng.uniform_int(0, 2)];
+    } while (bins->size() < 2);
+    const std::size_t a = rng.uniform_index(bins->size());
+    std::size_t b = rng.uniform_index(bins->size() - 1);
+    if (b >= a) ++b;
+    e[(*bins)[a]] += 0x1p50;
+    e[(*bins)[b]] -= 0x1p50;
+  }
+};
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 1469598103934665603ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
 
 TEST(SimdDensity, SpanScatterGatherMatchScalar) {
   XP_REQUIRE_AVX2();
-  const simd::Kernels& ks = simd::scalar_kernels();
-  const simd::Kernels& ka = simd::avx2_kernels();
-  const double h = 2.0, ly0 = 10.0;
-  for (std::size_t n = 1; n <= 11; ++n) {
-    // Cell span partially covers the run, including clamped end bins.
-    const double ly = ly0 + 0.7 * h, hy = ly0 + (n - 0.3) * h;
-    std::vector<double> map_s(n, 0.5), map_a(n, 0.5);
-    ks.span_scatter(map_s.data(), n, ly, hy, ly0, h, 0.25);
-    ka.span_scatter(map_a.data(), n, ly, hy, ly0, h, 0.25);
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_NEAR(map_a[j], map_s[j], 1e-12) << "n=" << n << " j=" << j;
+  using F = CancellingFootprints;
+  const F f;
+  struct Out {
+    std::vector<double> map = std::vector<double>(F::m * F::m, 0.5);
+    std::vector<float> g = std::vector<float>(2 * F::n);  // x then y
+  };
+  // Scatter then gather (cached footprints), or gather alone on an empty
+  // table (every footprint rebuilt).
+  const auto run = [&](const simd::Kernels& k, bool scatter) {
+    std::vector<simd::Footprint> table(F::n);
+    const simd::DensityGeom g{.lx = 10.0, .ly = 10.0,
+                              .bin_w = 2.0, .bin_h = 2.0,
+                              .inv_bin_w = 0.5, .inv_bin_h = 0.5,
+                              .inv_bin_area = 0.25, .m = F::m,
+                              .half_w = f.hw.data(), .half_h = f.hh.data(),
+                              .scale = f.scale.data(), .table = table.data(),
+                              .nm = F::n, .np = F::n};
+    Out o;
+    if (scatter) {
+      k.density_scatter(g, f.x.data(), f.y.data(), {nullptr, 0, F::n},
+                        o.map.data());
     }
-
-    std::vector<double> ex(n), ey(n);
-    Rng rng(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      ex[j] = rng.uniform() - 0.5;
-      ey[j] = rng.uniform() - 0.5;
+    k.density_gather(g, f.x.data(), f.y.data(), {nullptr, 0, F::n},
+                     f.ex.data(), f.ey.data(), 1.0f, o.g.data(),
+                     o.g.data() + F::n);
+    return o;
+  };
+  const auto hash = [](const auto& v) {
+    return fnv1a(v.data(), v.size() * sizeof(v[0]));
+  };
+  // Map and gradient hashes recorded from the scalar per-bin loop and the
+  // AVX2 span kernels before footprints were cached.
+  struct Backend {
+    const simd::Kernels& k;
+    std::uint64_t map, grad;
+  };
+  const Backend backends[] = {
+      {simd::scalar_kernels(), 0xe9697b8e859646efull, 0x453957ef63a0f503ull},
+      {simd::avx2_kernels(), 0xe9697b8e859646efull, 0x8171cdc1446774ecull},
+  };
+  const Out s = run(simd::scalar_kernels(), true);
+  for (const Backend& be : backends) {
+    SCOPED_TRACE(simd::isa_name(be.k.isa));
+    const Out cached = run(be.k, true), fresh = run(be.k, false);
+    for (std::size_t b = 0; b < s.map.size(); ++b) {
+      ASSERT_NEAR(cached.map[b], s.map[b], 1e-12) << "bin " << b;
     }
-    double fx_s = 0.0, fy_s = 0.0, fx_a = 0.0, fy_a = 0.0;
-    ks.span_gather(ex.data(), ey.data(), n, ly, hy, ly0, h, 1.5, &fx_s, &fy_s);
-    ka.span_gather(ex.data(), ey.data(), n, ly, hy, ly0, h, 1.5, &fx_a, &fy_a);
-    EXPECT_NEAR(fx_a, fx_s, 1e-12) << n;
-    EXPECT_NEAR(fy_a, fy_s, 1e-12) << n;
+    EXPECT_EQ(hash(cached.map), be.map);
+    EXPECT_EQ(hash(cached.g), be.grad);
+    EXPECT_EQ(hash(fresh.g), be.grad);
   }
 }
 
