@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "submit-portfolio failed: %s\n", out.error.c_str());
     return 1;
   }
-  const auto st = srv.portfolio_wait(out.portfolio_id, 3600.0);
-  if (!st || !st->all_terminal || st->winner == 0) {
+  const auto st = srv.batch_wait(out.batch_id, 3600.0);
+  if (!st || !st->all_terminal || st->best_job == 0) {
     std::fprintf(stderr, "portfolio did not settle\n");
     return 1;
   }
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   for (const auto& ref : out.jobs) {
     if (const auto rec = srv.status(ref.id)) portfolio_core_s += rec->gp_seconds;
   }
-  const double winner_hpwl = st->winner_hpwl;
+  const double winner_hpwl = st->best_hpwl;
   srv.shutdown(/*drain=*/true);
 
   const double vs_single = 100.0 * (r_single.hpwl - winner_hpwl) / r_single.hpwl;

@@ -27,19 +27,19 @@
 //   xplace_client batch-result --id 3 --wait --timeout-s 600
 //   xplace_client batch-cancel --id 3              # stop spending on a sweep
 //
-// Portfolio-racing verbs (DESIGN.md §16):
+// Portfolio-racing verbs (DESIGN.md §14). A portfolio is a raced batch:
+// its id is its batch id, so batch-status/-result/-cancel work on it too.
 //
-//   xplace_client portfolio --design a1b2c3... --k 4 --seed 1 \
-//       --max-iters 800 --deadline-s 300
-//   xplace_client portfolio-status --id 1
-//   xplace_client portfolio-result --id 1 --wait --timeout-s 600
+//   xplace_client portfolio --design a1b2c3... --k 4 --seed 1 --deadline-s 300
+//   xplace_client portfolio-status --id 3
+//   xplace_client portfolio-result --id 3 --wait --timeout-s 600
 //
 // `portfolio` launches K perturbed restarts of one design (distinct seeds,
 // noise-injected anchors, varied γ/λ schedules — a deterministic plan from
 // (K, --seed)) raced under --deadline-s; the daemon's racer early-kills
 // strict laggards unless --no-kill. Racer overrides: --kill-min-iter N,
 // --kill-margin R, --kill-slack S. `portfolio-result` reports the aggregate
-// plus the winner's full job object.
+// plus the winner's full job object (lowest HPWL; ties go to the lower id).
 //
 // `sweep` fans one design (uploaded hash, --aux, or --demo-cells — parsed at
 // most once server-side) across the cross-product-free union of the sweep
@@ -333,20 +333,17 @@ int run_events(Request req, const std::string& socket_path, bool follow,
 
 /// Terminal check for the three waitable responses: a job line carries its
 /// "state" at top level; batch/portfolio lines carry an "all_terminal" flag
-/// on their aggregate object.
+/// on their (shared) batch object.
 bool response_settled(Command cmd, const json::Value& v) {
   switch (cmd) {
     case Command::kResult:
       return is_terminal_state(v.get_string("state"));
-    case Command::kBatchResult: {
-      const json::Value* b = v.find("batch");
+    case Command::kBatchResult:
+    case Command::kPortfolioResult: {
+      const json::Value* b =
+          v.find(cmd == Command::kBatchResult ? "batch" : "portfolio");
       return b != nullptr && b->is_object() &&
              b->get_bool("all_terminal", false);
-    }
-    case Command::kPortfolioResult: {
-      const json::Value* p = v.find("portfolio");
-      return p != nullptr && p->is_object() &&
-             p->get_bool("all_terminal", false);
     }
     default:
       return true;

@@ -62,8 +62,7 @@ struct JobSpec {
   std::string label;
 
   // ---- batching / dedup ----------------------------------------------------
-  std::uint64_t batch_id = 0;  ///< owning submit-batch id (0 = standalone)
-  std::uint64_t portfolio_id = 0;  ///< owning portfolio id (0 = none)
+  std::uint64_t batch_id = 0;  ///< owning batch / portfolio id (0 = standalone)
   /// Result dedup: when set, an identical (design_hash, config_hash) with a
   /// successful terminal result is served from cache instead of re-running.
   /// Default off for plain submits (soak tests rely on N identical jobs

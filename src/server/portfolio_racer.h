@@ -1,4 +1,4 @@
-// Racing policy for portfolio runs (DESIGN.md §16): which members of a
+// Racing policy for portfolio runs (DESIGN.md §14): which members of a
 // K-way perturbed-restart portfolio are strict laggards and should be killed
 // early so their core-seconds go back to the budget.
 //

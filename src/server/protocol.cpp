@@ -253,11 +253,14 @@ bool parse_request(const std::string& line, Request* out, std::string* error) {
     }
     req.spec.design_hash = hash;
   }
-  if (req.cmd == Command::kSubmitBatch) {
+  if (req.cmd == Command::kSubmitBatch ||
+      req.cmd == Command::kSubmitPortfolio) {
     if (std::string verr = validate_spec(req.spec); !verr.empty()) {
       *error = std::move(verr);
       return false;
     }
+  }
+  if (req.cmd == Command::kSubmitBatch) {
     // Batch configs default dedup ON (the whole point of a sweep cache);
     // a plain submit keeps it off unless asked.
     req.spec.dedup = root.get_bool("dedup", true);
@@ -288,10 +291,6 @@ bool parse_request(const std::string& line, Request* out, std::string* error) {
     }
   }
   if (req.cmd == Command::kSubmitPortfolio) {
-    if (std::string verr = validate_spec(req.spec); !verr.empty()) {
-      *error = std::move(verr);
-      return false;
-    }
     const json::Value* kv = root.find("k");
     if (kv == nullptr || !kv->is_number() ||
         kv->number() != std::floor(kv->number()) || kv->number() < 2) {
@@ -410,12 +409,9 @@ std::string build_request(const Request& req) {
       }
       if (req.no_kill) o.emplace_back("no_kill", json::Value(true));
       break;
+    case Command::kResult:
     case Command::kBatchResult:
     case Command::kPortfolioResult:
-      o.emplace_back("wait", json::Value(req.wait));
-      o.emplace_back("timeout_s", req.timeout_s);
-      break;
-    case Command::kResult:
       o.emplace_back("wait", json::Value(req.wait));
       o.emplace_back("timeout_s", req.timeout_s);
       break;

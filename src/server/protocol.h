@@ -42,26 +42,32 @@
 //        (design, config) from the existing job instead of re-running.
 //   {"cmd":"batch-status","id":3}               → {"ok":true,"batch":{...}}
 //   {"cmd":"batch-result","id":3,"wait":true,"timeout_s":600}
-//        → {"ok":true,"batch":{...},"jobs":[{...},...]} with one full job
-//        object per member, dedup-shared members repeated by reference
+//        → {"ok":true,"batch":{...},"winner":{...},"jobs":[{...},...]} with
+//        one full job object per member, dedup-shared members repeated by
+//        reference; "winner" is the best_job's record once one is done
 //   {"cmd":"batch-cancel","id":3}               → {"ok":true,"cancelled":N}
 //        cancels every non-terminal member in one shot
 //
-// Portfolio-racing verbs (DESIGN.md §16). A portfolio launches K perturbed
-// restarts of one design as a batch and races them; the racer thread
-// early-kills strict laggards unless "no_kill":
+// Portfolio-racing verbs (DESIGN.md §14). A portfolio is a batch with a
+// race section: K perturbed restarts of one design, raced by the racer thread,
+// which early-kills strict laggards unless "no_kill". Its id is its batch id,
+// so the batch verbs work on it too; the portfolio verbs are aliases that send
+// the same batch object under "portfolio" and refuse ids of unraced batches:
 //
 //   {"cmd":"submit-portfolio","design":"a1b2...","k":4,"seed":1,
 //    "max_iters":800,"deadline_s":120}
-//        → {"ok":true,"portfolio":1,"batch":3,"design":"a1b2...",
+//        → {"ok":true,"portfolio":3,"batch":3,"design":"a1b2...",
 //           "jobs":[{"id":7,"dedup":false},...]}
 //        Optional racer overrides: "kill_min_iter" (grace iterations),
 //        "kill_margin" (HPWL ratio), "kill_slack" (overflow gap),
 //        "no_kill":true (race without early-kill).
-//   {"cmd":"portfolio-status","id":1}           → {"ok":true,"portfolio":{...}}
-//   {"cmd":"portfolio-result","id":1,"wait":true,"timeout_s":600}
+//   {"cmd":"portfolio-status","id":3}           → {"ok":true,"portfolio":{...}}
+//        the batch object plus "batch", "base_seed", "killed", "winner",
+//        "winner_hpwl" (= best_job / best_hpwl), "deadline_s"
+//   {"cmd":"portfolio-result","id":3,"wait":true,"timeout_s":600}
 //        → {"ok":true,"portfolio":{...},"winner":{...full job object...},
-//           "jobs":[{...},...]} (winner present once a member is done)
+//           "jobs":[{...},...]} (winner present once a member is done;
+//           batch-result answers the same with "batch" as the key)
 //
 // Every error is {"ok":false,"error":"..."} on one line; a malformed or
 // oversized request line never kills the connection — the server answers

@@ -65,8 +65,7 @@ std::string encode_submit(const JobSpec& spec, int attempt) {
   put<double>(out, spec.lambda_init);
   put<std::uint64_t>(out, spec.batch_id);
   put<std::uint8_t>(out, spec.dedup ? 1 : 0);
-  // Portfolio / perturbed-restart fields (appended, same compaction argument).
-  put<std::uint64_t>(out, spec.portfolio_id);
+  // Perturbed-restart fields (appended, same compaction argument).
   put<double>(out, spec.init_noise_scale);
   put<double>(out, spec.gamma_scale);
   put<double>(out, spec.lambda_scale);
@@ -96,7 +95,6 @@ bool decode_submit(const std::string& payload, JobSpec* spec, int* attempt) {
   if (!get(payload, &pos, &spec->lambda_init)) return false;
   if (!get(payload, &pos, &spec->batch_id)) return false;
   if (!get(payload, &pos, &dedup)) return false;
-  if (!get(payload, &pos, &spec->portfolio_id)) return false;
   if (!get(payload, &pos, &spec->init_noise_scale)) return false;
   if (!get(payload, &pos, &spec->gamma_scale)) return false;
   if (!get(payload, &pos, &spec->lambda_scale)) return false;
@@ -209,6 +207,18 @@ std::string encode_batch(const BatchInfo& info) {
     put<std::uint64_t>(out, info.job_ids[i]);
     put<std::uint8_t>(out, i < info.deduped.size() ? info.deduped[i] : 0);
   }
+  put<std::uint8_t>(out, info.race ? 1 : 0);
+  if (info.race) {
+    const BatchRace& r = *info.race;
+    put<std::uint64_t>(out, r.base_seed);
+    put<std::uint32_t>(out, r.k);
+    put<double>(out, r.deadline_s);
+    put<std::int32_t>(out, r.policy.min_iter);
+    put<double>(out, r.policy.hpwl_margin);
+    put<double>(out, r.policy.overflow_slack);
+    put<std::uint64_t>(out, r.policy.min_survivors);
+    put<std::uint8_t>(out, r.policy.no_kill ? 1 : 0);
+  }
   return out;
 }
 
@@ -228,36 +238,26 @@ bool decode_batch(const std::string& payload, BatchInfo* info) {
     info->job_ids.push_back(id);
     info->deduped.push_back(dedup);
   }
-  return true;
-}
-
-std::string encode_portfolio(const PortfolioInfo& info) {
-  std::string out;
-  put<std::uint64_t>(out, info.batch_id);
-  put<std::uint64_t>(out, info.design_hash);
-  put<std::uint64_t>(out, info.base_seed);
-  put<std::uint32_t>(out, info.k);
-  put<double>(out, info.deadline_s);
-  put_str(out, info.label);
-  put<std::int32_t>(out, info.min_iter);
-  put<double>(out, info.hpwl_margin);
-  put<double>(out, info.overflow_slack);
-  put<std::uint8_t>(out, info.no_kill);
-  return out;
-}
-
-bool decode_portfolio(const std::string& payload, PortfolioInfo* info) {
-  std::size_t pos = 0;
-  if (!get(payload, &pos, &info->batch_id)) return false;
-  if (!get(payload, &pos, &info->design_hash)) return false;
-  if (!get(payload, &pos, &info->base_seed)) return false;
-  if (!get(payload, &pos, &info->k)) return false;
-  if (!get(payload, &pos, &info->deadline_s)) return false;
-  if (!get_str(payload, &pos, &info->label)) return false;
-  if (!get(payload, &pos, &info->min_iter)) return false;
-  if (!get(payload, &pos, &info->hpwl_margin)) return false;
-  if (!get(payload, &pos, &info->overflow_slack)) return false;
-  if (!get(payload, &pos, &info->no_kill)) return false;
+  std::uint8_t raced = 0;
+  if (!get(payload, &pos, &raced)) return false;
+  info->race.reset();
+  if (raced == 0) return true;
+  BatchRace r;
+  std::int32_t min_iter = 0;
+  std::uint64_t min_survivors = 0;
+  std::uint8_t no_kill = 0;
+  if (!get(payload, &pos, &r.base_seed)) return false;
+  if (!get(payload, &pos, &r.k)) return false;
+  if (!get(payload, &pos, &r.deadline_s)) return false;
+  if (!get(payload, &pos, &min_iter)) return false;
+  if (!get(payload, &pos, &r.policy.hpwl_margin)) return false;
+  if (!get(payload, &pos, &r.policy.overflow_slack)) return false;
+  if (!get(payload, &pos, &min_survivors)) return false;
+  if (!get(payload, &pos, &no_kill)) return false;
+  r.policy.min_iter = min_iter;
+  r.policy.min_survivors = static_cast<std::size_t>(min_survivors);
+  r.policy.no_kill = no_kill != 0;
+  info->race = r;
   return true;
 }
 
@@ -283,7 +283,6 @@ RecoveryPlan build_recovery_plan(const io::JournalReplay& replay) {
     // Non-job records reuse the job_id slot for other identities (design
     // hash, batch id) — they must not poison job-id allocation.
     if (type != JournalEvent::kDesignRef && type != JournalEvent::kBatch &&
-        type != JournalEvent::kPortfolio &&
         type != JournalEvent::kCleanShutdown) {
       plan.max_id = std::max(plan.max_id, rec.job_id);
     }
@@ -369,24 +368,6 @@ RecoveryPlan build_recovery_plan(const io::JournalReplay& replay) {
         }
         break;
       }
-      case JournalEvent::kPortfolio: {
-        PortfolioInfo info;
-        if (!decode_portfolio(rec.payload, &info)) break;
-        plan.max_portfolio_id = std::max(plan.max_portfolio_id, rec.job_id);
-        bool seen = false;
-        for (RecoveredPortfolio& p : plan.portfolios) {
-          if (p.id == rec.job_id) {
-            p.info = std::move(info);  // duplicate id: newest wins
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) {
-          plan.portfolios.push_back(
-              RecoveredPortfolio{rec.job_id, std::move(info), rec.time_s});
-        }
-        break;
-      }
     }
   }
   plan.clean_shutdown =
@@ -465,14 +446,6 @@ std::vector<io::JournalRecord> compaction_records(const RecoveryPlan& plan) {
     rec.job_id = b.id;
     rec.time_s = b.submit_time_s;
     rec.payload = encode_batch(b.info);
-    out.push_back(std::move(rec));
-  }
-  for (const RecoveredPortfolio& p : plan.portfolios) {
-    io::JournalRecord rec;
-    rec.type = static_cast<std::uint32_t>(JournalEvent::kPortfolio);
-    rec.job_id = p.id;
-    rec.time_s = p.submit_time_s;
-    rec.payload = encode_portfolio(p.info);
     out.push_back(std::move(rec));
   }
   return out;

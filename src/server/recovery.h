@@ -24,11 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "io/journal.h"
 #include "server/job.h"
+#include "server/portfolio_racer.h"
 
 namespace xplace::server {
 
@@ -45,13 +47,12 @@ enum class JournalEvent : std::uint32_t {
   /// hash; the payload carries its source so recovery can re-register it for
   /// lazy re-parse. Not a job record: excluded from max_id.
   kDesignRef = 8,
-  /// A submit-batch landed: the job_id slot carries the batch id; the payload
-  /// ties the member job ids to the batch + design hash.
+  /// A submit-batch (or submit-portfolio) landed: the job_id slot carries the
+  /// batch id; the payload ties the member job ids to the batch + design hash
+  /// and, for a portfolio, carries the race section, so a restart resumes
+  /// racing the surviving members under the same policy. (Value 10 was the
+  /// separate portfolio record; it is retired, not reused.)
   kBatch = 9,
-  /// A submit-portfolio landed: the job_id slot carries the portfolio id; the
-  /// payload names the member batch plus the racing parameters, so a restart
-  /// resumes racing the surviving members under the same policy.
-  kPortfolio = 10,
 };
 
 /// Decoded kFinish payload (the terminal slice of a JobRecord).
@@ -99,35 +100,26 @@ struct DesignRefInfo {
 std::string encode_design_ref(const DesignRefInfo& info);
 bool decode_design_ref(const std::string& payload, DesignRefInfo* info);
 
+/// Race section of a kBatch record: present when the batch is a portfolio,
+/// K perturbed restarts of one design raced under `policy` (DESIGN.md §14).
+struct BatchRace {
+  std::uint64_t base_seed = 0;
+  std::uint32_t k = 0;
+  double deadline_s = 0.0;
+  RacePolicy policy;
+};
+
 /// Decoded kBatch payload (the batch id rides in the job_id slot).
 struct BatchInfo {
   std::uint64_t design_hash = 0;
   std::string label;
   std::vector<std::uint64_t> job_ids;
   std::vector<std::uint8_t> deduped;  ///< parallel to job_ids: served from cache
+  std::optional<BatchRace> race;      ///< set for a raced batch (portfolio)
 };
 
 std::string encode_batch(const BatchInfo& info);
 bool decode_batch(const std::string& payload, BatchInfo* info);
-
-/// Decoded kPortfolio payload (the portfolio id rides in the job_id slot).
-/// Members are reachable through the named batch's kBatch record.
-struct PortfolioInfo {
-  std::uint64_t batch_id = 0;
-  std::uint64_t design_hash = 0;
-  std::uint64_t base_seed = 0;
-  std::uint32_t k = 0;
-  double deadline_s = 0.0;
-  std::string label;
-  // Racing policy (portfolio_racer.h) the run was admitted under.
-  std::int32_t min_iter = 100;
-  double hpwl_margin = 1.15;
-  double overflow_slack = 0.05;
-  std::uint8_t no_kill = 0;
-};
-
-std::string encode_portfolio(const PortfolioInfo& info);
-bool decode_portfolio(const std::string& payload, PortfolioInfo* info);
 
 /// One job's effective state after folding every journal record about it.
 struct RecoveredJob {
@@ -151,19 +143,11 @@ struct RecoveredDesign {
   DesignRefInfo source;
 };
 
-/// A batch whose membership survives the restart (member jobs recover
-/// independently through their own records).
+/// A batch whose membership and race section survive the restart (member
+/// jobs recover independently through their own records).
 struct RecoveredBatch {
   std::uint64_t id = 0;
   BatchInfo info;
-  double submit_time_s = 0.0;
-};
-
-/// A portfolio whose racing state survives the restart: membership via its
-/// batch, members via their own job records.
-struct RecoveredPortfolio {
-  std::uint64_t id = 0;
-  PortfolioInfo info;
   double submit_time_s = 0.0;
 };
 
@@ -177,8 +161,6 @@ struct RecoveryPlan {
   std::vector<RecoveredDesign> designs;  ///< design-ref records, first-seen order
   std::vector<RecoveredBatch> batches;   ///< batch records, submit order
   std::uint64_t max_batch_id = 0;
-  std::vector<RecoveredPortfolio> portfolios;  ///< portfolio records, in order
-  std::uint64_t max_portfolio_id = 0;
 };
 
 RecoveryPlan build_recovery_plan(const io::JournalReplay& replay);

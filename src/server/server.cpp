@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <new>
+#include <set>
 #include <stdexcept>
 
 #include "dp/detailed_placer.h"
@@ -102,7 +103,9 @@ PlacementServer::PlacementServer(ServerConfig cfg)
   // mutates the queue and the job map without racing live execution.
   if (!cfg_.state_dir.empty()) recover_from_journal();
   retry_thread_ = std::thread([this] { retry_loop(); });
-  portfolio_thread_ = std::thread([this] { portfolio_loop(); });
+  if (cfg_.portfolio_poll_s > 0.0) {
+    portfolio_thread_ = std::thread([this] { portfolio_loop(); });
+  }
   workers_.reserve(cfg_.max_concurrency);
   for (std::size_t i = 0; i < cfg_.max_concurrency; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -114,15 +117,13 @@ PlacementServer::PlacementServer(ServerConfig cfg)
 PlacementServer::~PlacementServer() { shutdown(/*drain=*/false); }
 
 PlacementServer::SubmitOutcome PlacementServer::submit(const JobSpec& spec) {
-  telemetry::Registry& reg = telemetry::Registry::global();
   // Spec validation before any admission bookkeeping — the satellite fix for
   // ambiguous sources (both aux and demo_cells) silently preferring aux. The
   // wire path goes through the same validate_spec in the protocol parser;
   // this covers the in-process entry point.
   if (std::string verr = validate_spec(spec); !verr.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++rejected_;
-    reg.counter("serve.rejected").inc();
+    note_rejected_locked();
     SubmitOutcome out;
     out.error = std::move(verr);
     return out;
@@ -149,6 +150,11 @@ PlacementServer::SubmitOutcome PlacementServer::submit(const JobSpec& spec) {
   return submit_spec_locked(spec, dedup_hash, /*allow_shed=*/true);
 }
 
+void PlacementServer::note_rejected_locked() {
+  ++rejected_;
+  telemetry::Registry::global().counter("serve.rejected").inc();
+}
+
 std::uint64_t PlacementServer::config_hash(const JobSpec& spec) const {
   // Everything that changes the placement result at a fixed design and a
   // fixed thread count. Threads are resolved (spec override or server
@@ -171,38 +177,40 @@ std::uint64_t PlacementServer::config_hash(const JobSpec& spec) const {
   return io::fnv1a64(reinterpret_cast<const char*>(v), sizeof(v));
 }
 
+std::uint64_t PlacementServer::dedup_target_locked(const DedupKey& key) const {
+  // A still-live target is shared too: the flow is deterministic at fixed
+  // threads, so its eventual record is what a fresh run would produce. A
+  // target that ended anything but kDone was dropped from the index when it
+  // settled; an evicted one is simply gone from jobs_.
+  const auto hit = dedup_index_.find(key);
+  if (hit == dedup_index_.end()) return 0;
+  const auto jit = jobs_.find(hit->second);
+  if (jit == jobs_.end()) return 0;
+  const JobState st = jit->second->rec.state;
+  return st == JobState::kDone || !is_terminal(st) ? hit->second : 0;
+}
+
 PlacementServer::SubmitOutcome PlacementServer::submit_spec_locked(
     JobSpec spec, std::uint64_t dedup_hash, bool allow_shed) {
   telemetry::Registry& reg = telemetry::Registry::global();
   SubmitOutcome out;
   if (!accepting_) {
     out.error = "server is shutting down";
-    ++rejected_;
-    reg.counter("serve.rejected").inc();
+    note_rejected_locked();
     return out;
   }
 
   // Result dedup: an identical (design, config) already serving — return its
-  // id instead of re-running. A still-live target is shared the same way (the
-  // flow is deterministic at fixed threads, so the eventual record is what a
-  // fresh run would produce); a target that ended anything but kDone was
-  // dropped from the index when it settled, so it never serves stale failure.
-  const std::pair<std::uint64_t, std::uint64_t> key{dedup_hash,
-                                                    config_hash(spec)};
+  // id instead of re-running.
+  const DedupKey key{dedup_hash, config_hash(spec)};
   if (spec.dedup && dedup_hash != 0) {
-    const auto hit = dedup_index_.find(key);
-    if (hit != dedup_index_.end()) {
-      const auto jit = jobs_.find(hit->second);
-      if (jit != jobs_.end() && (jit->second->rec.state == JobState::kDone ||
-                                 !is_terminal(jit->second->rec.state))) {
-        ++dedup_hits_;
-        reg.counter("serve.dedup_hits").inc();
-        out.ok = true;
-        out.id = hit->second;
-        out.deduped = true;
-        return out;
-      }
-      dedup_index_.erase(hit);  // stale: evicted or non-successful terminal
+    if (const std::uint64_t served = dedup_target_locked(key)) {
+      ++dedup_hits_;
+      reg.counter("serve.dedup_hits").inc();
+      out.ok = true;
+      out.id = served;
+      out.deduped = true;
+      return out;
     }
   }
 
@@ -221,8 +229,7 @@ PlacementServer::SubmitOutcome PlacementServer::submit_spec_locked(
     out.error = journal_degraded_
                     ? "journal degraded (durability lost) — not accepting work"
                     : "journal disk budget saturated — retry later";
-    ++rejected_;
-    reg.counter("serve.rejected").inc();
+    note_rejected_locked();
     return out;
   }
 
@@ -239,13 +246,11 @@ PlacementServer::SubmitOutcome PlacementServer::submit_spec_locked(
         !queue_.push(qj)) {
       out.error = "queue full (" + std::to_string(queue_.capacity()) +
                   " jobs) — retry later";
-      ++rejected_;
-      reg.counter("serve.rejected").inc();
+      note_rejected_locked();
       return out;
     }
   }
   ++next_id_;
-
   auto job = std::make_shared<Job>();
   job->rec.id = id;
   job->rec.spec = spec;
@@ -301,6 +306,24 @@ void PlacementServer::journal_design_ref_locked(
   journaled_designs_[hash] = true;
 }
 
+DesignStore::SnapshotPtr PlacementServer::load_design(
+    const JobSpec& spec, DesignStore::SourceRef* ref, std::string* error) {
+  *ref = DesignStore::SourceRef{};
+  if (spec.design_hash != 0) {
+    // The store already knows the source (upload or recovery registered it);
+    // nothing to journal beyond what those paths wrote.
+    return designs_.get_hash(spec.design_hash, error);
+  }
+  if (!spec.aux.empty()) {
+    ref->aux = spec.aux;
+    return designs_.get_aux(spec.aux, error);
+  }
+  ref->demo = true;
+  ref->cells = static_cast<std::size_t>(spec.demo_cells);
+  ref->seed = spec.demo_seed;
+  return designs_.get_demo(ref->cells, ref->seed, error);
+}
+
 PlacementServer::UploadOutcome PlacementServer::upload_design(
     const JobSpec& source) {
   UploadOutcome out;
@@ -314,22 +337,9 @@ PlacementServer::UploadOutcome PlacementServer::upload_design(
     return out;
   }
   DesignStore::SourceRef ref;
-  std::string err;
-  DesignStore::SnapshotPtr snap;
   const std::uint64_t parses_before = designs_.stats().parses;
-  if (!source.aux.empty()) {
-    ref.aux = source.aux;
-    snap = designs_.get_aux(source.aux, &err);
-  } else {
-    ref.demo = true;
-    ref.cells = static_cast<std::size_t>(source.demo_cells);
-    ref.seed = source.demo_seed;
-    snap = designs_.get_demo(ref.cells, ref.seed, &err);
-  }
-  if (!snap) {
-    out.error = err;
-    return out;
-  }
+  const DesignStore::SnapshotPtr snap = load_design(source, &ref, &out.error);
+  if (!snap) return out;
   out.ok = true;
   out.hash = snap->content_hash;
   out.cached = designs_.stats().parses == parses_before;
@@ -351,8 +361,8 @@ bool PlacementServer::evict_design(std::uint64_t hash, std::string* error) {
 }
 
 PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
-    const JobSpec& base, const std::vector<JobSpec>& configs) {
-  telemetry::Registry& reg = telemetry::Registry::global();
+    const JobSpec& base, const std::vector<JobSpec>& configs,
+    std::optional<BatchRace> race) {
   BatchSubmitOutcome out;
   if (configs.empty()) {
     out.error = "submit-batch needs at least one config";
@@ -367,35 +377,14 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
   // parse (or a cache hit); every member job then references the snapshot by
   // content hash.
   DesignStore::SourceRef ref;
-  std::string err;
-  DesignStore::SnapshotPtr snap;
-  if (base.design_hash != 0) {
-    snap = designs_.get_hash(base.design_hash, &err);
-  } else if (!base.aux.empty()) {
-    ref.aux = base.aux;
-    snap = designs_.get_aux(base.aux, &err);
-  } else {
-    ref.demo = true;
-    ref.cells = static_cast<std::size_t>(base.demo_cells);
-    ref.seed = base.demo_seed;
-    snap = designs_.get_demo(ref.cells, ref.seed, &err);
-  }
-  if (!snap) {
-    out.error = err;
-    return out;
-  }
+  const DesignStore::SnapshotPtr snap = load_design(base, &ref, &out.error);
+  if (!snap) return out;
   const std::uint64_t dhash = snap->content_hash;
-  if (base.design_hash != 0) {
-    // The store already knows the source (upload or recovery registered it);
-    // nothing to journal beyond what those paths wrote.
-    ref = DesignStore::SourceRef{};
-  }
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (!accepting_) {
     out.error = "server is shutting down";
-    ++rejected_;
-    reg.counter("serve.rejected").inc();
+    note_rejected_locked();
     return out;
   }
 
@@ -404,6 +393,7 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
   // overwritten with the batch's resolved hash.
   std::vector<JobSpec> specs;
   specs.reserve(configs.size());
+  std::set<DedupKey> fresh_keys;  // distinct dedup configs needing a seat
   std::size_t fresh = 0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     JobSpec s = configs[i];
@@ -413,28 +403,24 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
     s.design_hash = dhash;
     if (std::string verr = validate_spec(s); !verr.empty()) {
       out.error = "config " + std::to_string(i) + ": " + verr;
-      ++rejected_;
-      reg.counter("serve.rejected").inc();
+      note_rejected_locked();
       return out;
     }
-    // Count the configs that will need a queue seat (a dedup hit does not).
-    const std::pair<std::uint64_t, std::uint64_t> key{dhash, config_hash(s)};
-    const auto hit = s.dedup ? dedup_index_.find(key) : dedup_index_.end();
-    bool served = false;
-    if (hit != dedup_index_.end()) {
-      const auto jit = jobs_.find(hit->second);
-      served = jit != jobs_.end() && (jit->second->rec.state == JobState::kDone ||
-                                      !is_terminal(jit->second->rec.state));
+    // Count the seats admission will take: a dedup config takes one unless
+    // an existing job serves it, and a config repeated within the batch
+    // shares its first occurrence's seat.
+    const DedupKey key{dhash, config_hash(s)};
+    if (!s.dedup ||
+        (dedup_target_locked(key) == 0 && fresh_keys.insert(key).second)) {
+      ++fresh;
     }
-    if (!served) ++fresh;
     specs.push_back(std::move(s));
   }
   if (queue_.size() + fresh > queue_.capacity()) {
     out.error = "queue cannot take " + std::to_string(fresh) +
                 " job(s) (" + std::to_string(queue_.capacity() - queue_.size()) +
                 " seat(s) free) — batch rejected whole";
-    ++rejected_;
-    reg.counter("serve.rejected").inc();
+    note_rejected_locked();
     return out;
   }
 
@@ -442,13 +428,14 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
   if (!ref.aux.empty() || ref.demo) journal_design_ref_locked(dhash, ref);
 
   Batch batch;
-  batch.id = bid;
-  batch.design_hash = dhash;
-  batch.label = sanitize_label(base.label.empty() ? "batch" + std::to_string(bid)
-                                                  : base.label);
-  batch.submitted_s = log::elapsed_seconds();
+  batch.info.design_hash = dhash;
+  batch.info.label = sanitize_label(
+      !base.label.empty() ? base.label
+                          : (race ? "p" : "batch") + std::to_string(bid));
+  batch.info.race = race;
   for (JobSpec& s : specs) {
     s.batch_id = bid;
+    if (race) s.label = batch.info.label + "_" + s.label;
     // A dedup hit inside the batch (within the current configs, a repeated
     // earlier config is already in the index) shares the serving job's id.
     const SubmitOutcome so =
@@ -458,26 +445,29 @@ PlacementServer::BatchSubmitOutcome PlacementServer::submit_batch(
       // batch's own appends; settle as a whole-batch error with the members
       // already admitted left to run (they are real jobs now).
       out.error = "batch admission failed at config " +
-                  std::to_string(batch.jobs.size()) + ": " + so.error;
+                  std::to_string(out.jobs.size()) + ": " + so.error;
       break;
     }
-    batch.jobs.push_back({so.id, so.deduped});
+    out.jobs.push_back({so.id, so.deduped});
+    batch.info.job_ids.push_back(so.id);
+    batch.info.deduped.push_back(so.deduped ? 1 : 0);
   }
   out.batch_id = bid;
   out.design_hash = dhash;
-  out.jobs = batch.jobs;
   out.ok = out.error.empty();
-
-  BatchInfo info;
-  info.design_hash = dhash;
-  info.label = batch.label;
-  for (const BatchJobRef& r : batch.jobs) {
-    info.job_ids.push_back(r.id);
-    info.deduped.push_back(r.deduped ? 1 : 0);
-  }
-  journal_append_locked(JournalEvent::kBatch, bid, encode_batch(info));
+  journal_append_locked(JournalEvent::kBatch, bid, encode_batch(batch.info));
   batches_.emplace(bid, std::move(batch));
+  telemetry::Registry& reg = telemetry::Registry::global();
   reg.counter("serve.batches").inc();
+  if (race) {
+    reg.counter("serve.portfolio.submitted").inc();
+    XP_INFO("portfolio %llu: %u-way race on design %016llx (base seed %llu, "
+            "deadline %.1fs)",
+            static_cast<unsigned long long>(bid), race->k,
+            static_cast<unsigned long long>(dhash),
+            static_cast<unsigned long long>(race->base_seed), race->deadline_s);
+    portfolio_cv_.notify_all();  // the racer wakes up to the new portfolio
+  }
   return out;
 }
 
@@ -485,13 +475,15 @@ PlacementServer::BatchStatus PlacementServer::batch_status_locked(
     std::uint64_t id) const {
   const Batch& b = batches_.at(id);
   BatchStatus s;
-  s.id = b.id;
-  s.design_hash = b.design_hash;
-  s.label = b.label;
-  s.jobs = b.jobs;
+  s.id = id;
+  s.design_hash = b.info.design_hash;
+  s.label = b.info.label;
+  s.race = b.info.race;
+  s.killed = b.killed;
   s.all_terminal = true;
-  for (const BatchJobRef& r : b.jobs) {
-    const auto it = jobs_.find(r.id);
+  for (std::size_t i = 0; i < b.info.job_ids.size(); ++i) {
+    s.jobs.push_back({b.info.job_ids[i], b.info.deduped[i] != 0});
+    const auto it = jobs_.find(b.info.job_ids[i]);
     if (it == jobs_.end()) {
       // Evicted from the bounded result store — eviction only takes terminal
       // jobs, so this member settled (state unknown; count it done).
@@ -509,7 +501,8 @@ PlacementServer::BatchStatus PlacementServer::batch_status_locked(
     }
     if (rec.state == JobState::kDone) {
       const double h = rec.legalized ? rec.dp_hpwl : rec.hpwl;
-      if (s.best_hpwl == 0.0 || h < s.best_hpwl) {
+      if (s.best_job == 0 || h < s.best_hpwl ||
+          (h == s.best_hpwl && rec.id < s.best_job)) {
         s.best_hpwl = h;
         s.best_job = rec.id;
       }
@@ -536,17 +529,17 @@ std::optional<PlacementServer::BatchStatus> PlacementServer::batch_wait(
 }
 
 // ---------------------------------------------------------------------------
-// Portfolio racing (DESIGN.md §16)
+// Portfolio racing (DESIGN.md §14): a portfolio is a raced batch
 // ---------------------------------------------------------------------------
 
-PlacementServer::PortfolioSubmitOutcome PlacementServer::submit_portfolio(
+PlacementServer::BatchSubmitOutcome PlacementServer::submit_portfolio(
     const JobSpec& base, int k, double deadline_s) {
   return submit_portfolio(base, k, deadline_s, cfg_.portfolio_policy);
 }
 
-PlacementServer::PortfolioSubmitOutcome PlacementServer::submit_portfolio(
+PlacementServer::BatchSubmitOutcome PlacementServer::submit_portfolio(
     const JobSpec& base, int k, double deadline_s, const RacePolicy& policy) {
-  PortfolioSubmitOutcome out;
+  BatchSubmitOutcome out;
   if (k < 2) {
     out.error = "submit-portfolio needs \"k\" >= 2 (one member is a submit)";
     return out;
@@ -562,157 +555,40 @@ PlacementServer::PortfolioSubmitOutcome PlacementServer::submit_portfolio(
 
   // The plan is a pure function of (k, base seed): same two numbers, same K
   // perturbation variants, every time — the determinism acceptance.
-  const std::uint64_t base_seed = base.seed > 0 ? base.seed : 1;
-  const std::vector<opt::PerturbationVariant> plan =
-      opt::make_portfolio_plan(k, base_seed);
-
-  // Reserve the id up front so member labels can carry it before the batch
-  // admission runs (ids of rejected portfolios are simply skipped).
-  std::uint64_t pid = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pid = next_portfolio_id_++;
-  }
-  const std::string label = sanitize_label(
-      base.label.empty() ? "p" + std::to_string(pid) : base.label);
-
-  JobSpec batch_base = base;
-  batch_base.label = label;
+  BatchRace race;
+  race.base_seed = base.seed > 0 ? base.seed : 1;
+  race.k = static_cast<std::uint32_t>(k);
+  race.deadline_s = deadline_s;
+  race.policy = policy;
   std::vector<JobSpec> configs;
-  configs.reserve(plan.size());
-  for (const opt::PerturbationVariant& v : plan) {
+  for (const opt::PerturbationVariant& v :
+       opt::make_portfolio_plan(k, race.base_seed)) {
     JobSpec s = base;
     s.seed = v.seed;
     s.init_noise_scale = v.init_noise_scale;
     s.gamma_scale = v.gamma_scale;
     s.lambda_scale = v.lambda_scale;
-    s.label = label + "_" + v.label;
+    s.label = v.label;          // submit_batch prefixes the portfolio label
     s.deadline_s = deadline_s;  // shared race deadline, queue wait included
-    s.portfolio_id = pid;
     s.dedup = true;
     configs.push_back(std::move(s));
   }
-
-  // The member batch does the heavy lifting: one design parse, all-or-nothing
-  // queue admission, per-member kSubmit + one kBatch journal record. Batch
-  // verbs (batch-result, batch-cancel) work on a portfolio's batch too.
-  const BatchSubmitOutcome bo = submit_batch(batch_base, configs);
-  if (!bo.ok) {
-    out.error = bo.error;
-    return out;
-  }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  Portfolio p;
-  p.id = pid;
-  p.info.batch_id = bo.batch_id;
-  p.info.design_hash = bo.design_hash;
-  p.info.base_seed = base_seed;
-  p.info.k = static_cast<std::uint32_t>(k);
-  p.info.deadline_s = deadline_s;
-  p.info.label = label;
-  p.info.min_iter = policy.min_iter;
-  p.info.hpwl_margin = policy.hpwl_margin;
-  p.info.overflow_slack = policy.overflow_slack;
-  p.info.no_kill = policy.no_kill ? 1 : 0;
-  journal_append_locked(JournalEvent::kPortfolio, pid,
-                        encode_portfolio(p.info));
-  portfolios_.emplace(pid, std::move(p));
-  telemetry::Registry::global().counter("serve.portfolio.submitted").inc();
-  XP_INFO("portfolio %llu: %d-way race on design %016llx (batch %llu, base "
-          "seed %llu, deadline %.1fs)",
-          static_cast<unsigned long long>(pid), k,
-          static_cast<unsigned long long>(bo.design_hash),
-          static_cast<unsigned long long>(bo.batch_id),
-          static_cast<unsigned long long>(base_seed), deadline_s);
-  out.ok = true;
-  out.portfolio_id = pid;
-  out.batch_id = bo.batch_id;
-  out.design_hash = bo.design_hash;
-  out.jobs = bo.jobs;
-  portfolio_cv_.notify_all();  // the racer wakes up to the new portfolio
-  return out;
-}
-
-PlacementServer::PortfolioStatus PlacementServer::portfolio_status_locked(
-    const Portfolio& p) const {
-  PortfolioStatus s;
-  s.id = p.id;
-  s.batch_id = p.info.batch_id;
-  s.design_hash = p.info.design_hash;
-  s.base_seed = p.info.base_seed;
-  s.label = p.info.label;
-  s.killed = p.killed;
-  s.deadline_s = p.info.deadline_s;
-  s.all_terminal = true;
-  const auto bit = batches_.find(p.info.batch_id);
-  if (bit == batches_.end()) return s;  // defensive: batches_ never evicts
-  s.jobs = bit->second.jobs;
-  for (const BatchJobRef& r : s.jobs) {
-    const auto it = jobs_.find(r.id);
-    if (it == jobs_.end()) {
-      ++s.done;  // evicted from the result store ⇒ settled (see batch_status)
-      continue;
-    }
-    const JobRecord& rec = it->second->rec;
-    switch (rec.state) {
-      case JobState::kQueued: ++s.queued; s.all_terminal = false; break;
-      case JobState::kRunning: ++s.running; s.all_terminal = false; break;
-      case JobState::kDone: ++s.done; break;
-      case JobState::kCancelled: ++s.cancelled; break;
-      case JobState::kFailed: ++s.failed; break;
-      case JobState::kShed: ++s.shed; break;
-    }
-    if (rec.state == JobState::kDone) {
-      const double h = rec.legalized ? rec.dp_hpwl : rec.hpwl;
-      if (s.winner == 0 || h < s.winner_hpwl ||
-          (h == s.winner_hpwl && rec.id < s.winner)) {
-        s.winner_hpwl = h;
-        s.winner = rec.id;
-      }
-    }
-  }
-  return s;
-}
-
-std::optional<PlacementServer::PortfolioStatus>
-PlacementServer::portfolio_status(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = portfolios_.find(id);
-  if (it == portfolios_.end()) return std::nullopt;
-  return portfolio_status_locked(it->second);
-}
-
-std::optional<PlacementServer::PortfolioStatus> PlacementServer::portfolio_wait(
-    std::uint64_t id, double timeout_s) const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = portfolios_.find(id);
-  if (it == portfolios_.end()) return std::nullopt;
-  const Portfolio& p = it->second;  // rows are never erased while running
-  batch_cv_.wait_for(lock,
-                     std::chrono::duration<double>(std::max(0.0, timeout_s)),
-                     [&] { return portfolio_status_locked(p).all_terminal; });
-  return portfolio_status_locked(p);
+  return submit_batch(base, configs, race);
 }
 
 void PlacementServer::race_portfolios_locked() {
   telemetry::Registry& reg = telemetry::Registry::global();
-  for (auto& [pid, p] : portfolios_) {
-    if (p.settled) continue;
-    const auto bit = batches_.find(p.info.batch_id);
-    if (bit == batches_.end()) {
-      p.settled = true;
-      continue;
-    }
+  for (auto& [bid, b] : batches_) {
+    if (!b.info.race || b.settled) continue;
     // Sample each member's newest progress event — the same Recorder-sourced
     // numbers the events verb streams — into the racer's cross-job view.
     std::vector<MemberProgress> members;
-    members.reserve(bit->second.jobs.size());
+    members.reserve(b.info.job_ids.size());
     bool all_terminal = true;
-    for (const BatchJobRef& r : bit->second.jobs) {
+    for (const std::uint64_t id : b.info.job_ids) {
       MemberProgress m;
-      m.id = r.id;
-      const auto jit = jobs_.find(r.id);
+      m.id = id;
+      const auto jit = jobs_.find(id);
       if (jit == jobs_.end()) {
         m.terminal = true;  // evicted ⇒ settled long ago
       } else {
@@ -729,22 +605,18 @@ void PlacementServer::race_portfolios_locked() {
       members.push_back(m);
     }
     if (all_terminal) {
-      p.settled = true;
+      b.settled = true;
       reg.counter("serve.portfolio.settled").inc();
       continue;
     }
-    RacePolicy pol = cfg_.portfolio_policy;  // min_survivors stays server-wide
-    pol.min_iter = p.info.min_iter;
-    pol.hpwl_margin = p.info.hpwl_margin;
-    pol.overflow_slack = p.info.overflow_slack;
-    pol.no_kill = p.info.no_kill != 0;
-    for (const std::uint64_t victim : laggards_to_kill(members, pol)) {
+    for (const std::uint64_t victim :
+         laggards_to_kill(members, b.info.race->policy)) {
       if (!cancel_locked(victim, nullptr)) continue;
-      ++p.killed;
+      ++b.killed;
       ++portfolio_kills_;
       reg.counter("serve.portfolio.killed").inc();
       XP_INFO("portfolio %llu: early-killed laggard job %llu",
-              static_cast<unsigned long long>(pid),
+              static_cast<unsigned long long>(bid),
               static_cast<unsigned long long>(victim));
     }
   }
@@ -753,12 +625,6 @@ void PlacementServer::race_portfolios_locked() {
 void PlacementServer::portfolio_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!portfolio_stop_) {
-    if (cfg_.portfolio_poll_s <= 0.0) {
-      // Racing disabled: park until shutdown (members run to completion; the
-      // winner is still selected by portfolio_status).
-      portfolio_cv_.wait(lock, [&] { return portfolio_stop_; });
-      continue;
-    }
     portfolio_cv_.wait_for(
         lock, std::chrono::duration<double>(cfg_.portfolio_poll_s));
     if (portfolio_stop_) break;
@@ -822,10 +688,10 @@ bool PlacementServer::batch_cancel(std::uint64_t id, std::size_t* cancelled,
     return false;
   }
   std::size_t n = 0;
-  for (const BatchJobRef& r : it->second.jobs) {
+  for (const std::uint64_t member : it->second.info.job_ids) {
     // Already-terminal (or evicted) members are simply skipped — a batch
     // cancel is "stop spending on this sweep", not an error on stragglers.
-    if (cancel_locked(r.id, nullptr)) ++n;
+    if (cancel_locked(member, nullptr)) ++n;
   }
   if (cancelled != nullptr) *cancelled = n;
   telemetry::Registry::global().counter("serve.batch.cancelled").inc();
@@ -923,7 +789,7 @@ PlacementServer::Stats PlacementServer::stats() const {
   s.design_resident_bytes = ds.resident_bytes;
   s.batches = batches_.size();
   s.dedup_hits = dedup_hits_;
-  s.portfolios = portfolios_.size();
+  for (const auto& [id, b] : batches_) s.portfolios += b.info.race ? 1 : 0;
   s.portfolio_kills = portfolio_kills_;
   return s;
 }
@@ -1118,15 +984,8 @@ void PlacementServer::run_job(Job& job, std::size_t leased_threads) {
     // eviction for the duration of the run.
     telemetry::TraceScope load_span("serve.load_design");
     std::string derr;
-    DesignStore::SnapshotPtr snap;
-    if (spec.design_hash != 0) {
-      snap = designs_.get_hash(spec.design_hash, &derr);
-    } else if (!spec.aux.empty()) {
-      snap = designs_.get_aux(spec.aux, &derr);
-    } else {
-      snap = designs_.get_demo(static_cast<std::size_t>(spec.demo_cells),
-                               spec.demo_seed, &derr);
-    }
+    DesignStore::SourceRef ref;
+    const DesignStore::SnapshotPtr snap = load_design(spec, &ref, &derr);
     if (!snap) throw std::runtime_error(derr);
     DesignStore::Pin pin(designs_, snap->content_hash);
     load_span.end();
@@ -1407,9 +1266,14 @@ void PlacementServer::recover_from_journal() {
 
   std::lock_guard<std::mutex> lock(mutex_);  // workers not started yet
 
+  next_id_ = std::max<std::uint64_t>(next_id_, plan.max_id + 1);
+  next_batch_id_ = std::max<std::uint64_t>(next_batch_id_,
+                                           plan.max_batch_id + 1);
   // Design refs survive every kind of restart: register their sources for
   // lazy re-parse (no parse happens here — first reference re-parses).
-  const auto register_designs = [&](bool mark_journaled) {
+  // `rejournal` writes them into a fresh journal; otherwise compaction
+  // already re-emitted them.
+  const auto register_designs = [&](bool rejournal) {
     for (const RecoveredDesign& rd : plan.designs) {
       DesignStore::SourceRef ref;
       ref.demo = rd.source.demo;
@@ -1417,29 +1281,20 @@ void PlacementServer::recover_from_journal() {
       ref.cells = static_cast<std::size_t>(rd.source.cells);
       ref.seed = rd.source.seed;
       designs_.register_source(rd.hash, ref);
-      if (mark_journaled) journaled_designs_[rd.hash] = true;
+      if (rejournal) {
+        journal_design_ref_locked(rd.hash, ref);
+      } else {
+        journaled_designs_[rd.hash] = true;
+      }
     }
   };
 
   if (replay.missing || plan.clean_shutdown) {
-    next_id_ = std::max<std::uint64_t>(next_id_, plan.max_id + 1);
-    next_batch_id_ = std::max<std::uint64_t>(next_batch_id_,
-                                             plan.max_batch_id + 1);
-    next_portfolio_id_ = std::max<std::uint64_t>(next_portfolio_id_,
-                                                 plan.max_portfolio_id + 1);
     if (!journal_.open(path, /*truncate=*/true)) journal_degraded_ = true;
     // Uploaded designs outlive a clean shutdown (batches and job results do
     // not — same retention as the result store): re-register the sources and
     // re-journal their refs into the fresh journal.
-    register_designs(/*mark_journaled=*/false);
-    for (const RecoveredDesign& rd : plan.designs) {
-      DesignStore::SourceRef ref;
-      ref.demo = rd.source.demo;
-      ref.aux = rd.source.aux;
-      ref.cells = static_cast<std::size_t>(rd.source.cells);
-      ref.seed = rd.source.seed;
-      journal_design_ref_locked(rd.hash, ref);
-    }
+    register_designs(/*rejournal=*/true);
     XP_INFO("journal %s: clean start%s", path.c_str(),
             replay.missing ? " (fresh state dir)" : " (previous shutdown drained)");
   } else {
@@ -1452,31 +1307,9 @@ void PlacementServer::recover_from_journal() {
         !journal_.open(path, /*truncate=*/false)) {
       journal_degraded_ = true;
     }
-    next_id_ = std::max<std::uint64_t>(next_id_, plan.max_id + 1);
-    next_batch_id_ = std::max<std::uint64_t>(next_batch_id_,
-                                             plan.max_batch_id + 1);
-    next_portfolio_id_ = std::max<std::uint64_t>(next_portfolio_id_,
-                                                 plan.max_portfolio_id + 1);
-    // Compaction re-emitted every design ref, batch, and portfolio record,
-    // so none of them needs re-journaling here.
-    register_designs(/*mark_journaled=*/true);
+    register_designs(/*rejournal=*/false);
     for (const RecoveredBatch& rb : plan.batches) {
-      Batch b;
-      b.id = rb.id;
-      b.design_hash = rb.info.design_hash;
-      b.label = rb.info.label;
-      for (std::size_t i = 0; i < rb.info.job_ids.size(); ++i) {
-        b.jobs.push_back({rb.info.job_ids[i],
-                          i < rb.info.deduped.size() && rb.info.deduped[i] != 0});
-      }
-      b.submitted_s = log::elapsed_seconds();
-      batches_.emplace(rb.id, std::move(b));
-    }
-    for (const RecoveredPortfolio& rp : plan.portfolios) {
-      Portfolio p;
-      p.id = rp.id;
-      p.info = rp.info;
-      portfolios_.emplace(rp.id, std::move(p));
+      batches_[rb.id].info = rb.info;
     }
 
     const double now_wall = wall_seconds();
@@ -1570,14 +1403,13 @@ void PlacementServer::recover_from_journal() {
     // kFinish already is); approximate the tally from members that settled
     // cancelled. The racer resumes judging the surviving members as soon as
     // its thread starts.
-    for (auto& [pid, p] : portfolios_) {
-      const auto bit = batches_.find(p.info.batch_id);
-      if (bit == batches_.end()) continue;
-      for (const BatchJobRef& r : bit->second.jobs) {
-        const auto jit = jobs_.find(r.id);
+    for (auto& [bid, b] : batches_) {
+      if (!b.info.race) continue;
+      for (const std::uint64_t id : b.info.job_ids) {
+        const auto jit = jobs_.find(id);
         if (jit != jobs_.end() &&
             jit->second->rec.state == JobState::kCancelled) {
-          ++p.killed;
+          ++b.killed;
         }
       }
     }

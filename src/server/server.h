@@ -96,10 +96,10 @@ struct ServerConfig {
   /// Resident-bytes bound for the design store (same LRU policy).
   std::size_t design_max_bytes = 1ull << 30;
 
-  // ---- portfolio racing (DESIGN.md §16) ------------------------------------
+  // ---- portfolio racing (DESIGN.md §14) ------------------------------------
   /// How often the racer thread samples live portfolios' member progress and
-  /// kills strict laggards. <= 0 disables the racer entirely (members still
-  /// run to completion; the winner is still selected).
+  /// kills strict laggards. <= 0 starts no racer thread (members still run to
+  /// completion; the winner is still selected).
   double portfolio_poll_s = 0.25;
   /// Server-default racing policy; submit-portfolio requests may override
   /// per portfolio.
@@ -140,7 +140,7 @@ class PlacementServer {
   std::vector<DesignStore::Entry> list_designs() const;
   bool evict_design(std::uint64_t hash, std::string* error);
 
-  // ---- batch sweeps --------------------------------------------------------
+  // ---- batches: sweeps and raced portfolios (DESIGN.md §14) ----------------
   struct BatchJobRef {
     std::uint64_t id = 0;
     bool deduped = false;
@@ -154,11 +154,26 @@ class PlacementServer {
   };
   /// Atomically fans `configs` (each a full JobSpec whose design fields are
   /// overwritten with the batch's design) out as ordinary jobs on the queue.
-  /// All-or-nothing admission: if the queue cannot take every non-deduped
-  /// config, the whole batch is rejected. The design is resolved (one parse,
-  /// ever) before any job is enqueued.
+  /// All-or-nothing admission: if the queue cannot take every distinct
+  /// non-deduped config, the whole batch is rejected. The design is resolved
+  /// (one parse, ever) before any job is enqueued. With `race` set the batch
+  /// is a portfolio: the racer thread early-kills strict laggards per
+  /// race->policy, the default label is "p<id>", and members are labelled
+  /// "<batch label>_<config label>".
   BatchSubmitOutcome submit_batch(const JobSpec& base,
-                                  const std::vector<JobSpec>& configs);
+                                  const std::vector<JobSpec>& configs,
+                                  std::optional<BatchRace> race = std::nullopt);
+  /// Launches K perturbed restarts of `base`'s design as one raced batch
+  /// (opt::make_portfolio_plan variants: distinct seeds, noise-injected
+  /// anchors, varied γ/λ schedules) under `deadline_s`. base.seed seeds the
+  /// plan; the portfolio is deterministic from (design, k, base.seed). The
+  /// portfolio id is its batch id.
+  BatchSubmitOutcome submit_portfolio(const JobSpec& base, int k,
+                                      double deadline_s,
+                                      const RacePolicy& policy);
+  /// submit_portfolio with the server-default policy.
+  BatchSubmitOutcome submit_portfolio(const JobSpec& base, int k,
+                                      double deadline_s);
 
   struct BatchStatus {
     std::uint64_t id = 0;
@@ -168,8 +183,13 @@ class PlacementServer {
     std::size_t queued = 0, running = 0, done = 0, cancelled = 0, failed = 0,
                 shed = 0;
     bool all_terminal = false;
-    double best_hpwl = 0.0;       ///< min final HPWL among done jobs (0 = none)
+    /// Winner: the lowest legal HPWL among done members (the DP HPWL when the
+    /// flow legalized, the GP HPWL otherwise); a tie goes to the lower job id.
+    /// best_job 0 = no done member yet.
+    double best_hpwl = 0.0;
     std::uint64_t best_job = 0;
+    std::optional<BatchRace> race;  ///< set for a portfolio
+    std::size_t killed = 0;         ///< members the racer cancelled as laggards
   };
   /// nullopt = unknown batch id.
   std::optional<BatchStatus> batch_status(std::uint64_t id) const;
@@ -183,52 +203,6 @@ class PlacementServer {
   /// *error only for unknown batch ids; *cancelled counts members acted on.
   bool batch_cancel(std::uint64_t id, std::size_t* cancelled,
                     std::string* error);
-
-  // ---- portfolio racing (DESIGN.md §16) ------------------------------------
-  struct PortfolioSubmitOutcome {
-    bool ok = false;
-    std::uint64_t portfolio_id = 0;
-    std::uint64_t batch_id = 0;   ///< the member batch (batch verbs work too)
-    std::uint64_t design_hash = 0;
-    std::vector<BatchJobRef> jobs;  ///< K members, plan order (v0 first)
-    std::string error;
-  };
-  /// Launches K perturbed restarts of `base`'s design as one all-or-nothing
-  /// batch (opt::make_portfolio_plan variants: distinct seeds, noise-injected
-  /// anchors, varied γ/λ schedules) raced under `deadline_s` by the racer
-  /// thread, which early-kills strict laggards per `policy`. base.seed seeds
-  /// the plan; the portfolio is deterministic from (design, k, base.seed).
-  PortfolioSubmitOutcome submit_portfolio(const JobSpec& base, int k,
-                                          double deadline_s,
-                                          const RacePolicy& policy);
-  /// submit_portfolio with the server-default policy.
-  PortfolioSubmitOutcome submit_portfolio(const JobSpec& base, int k,
-                                          double deadline_s);
-
-  struct PortfolioStatus {
-    std::uint64_t id = 0;
-    std::uint64_t batch_id = 0;
-    std::uint64_t design_hash = 0;
-    std::uint64_t base_seed = 0;
-    std::string label;
-    std::vector<BatchJobRef> jobs;
-    std::size_t queued = 0, running = 0, done = 0, cancelled = 0, failed = 0,
-                shed = 0;
-    std::size_t killed = 0;   ///< members the racer cancelled as laggards
-    bool all_terminal = false;
-    /// Winner: best final HPWL among done members (legalized DP HPWL when the
-    /// flow ran, GP HPWL otherwise; ties break on the lower job id so the
-    /// selection is deterministic). 0 = no done member yet.
-    std::uint64_t winner = 0;
-    double winner_hpwl = 0.0;
-    double deadline_s = 0.0;
-  };
-  /// nullopt = unknown portfolio id.
-  std::optional<PortfolioStatus> portfolio_status(std::uint64_t id) const;
-  /// Blocks until every member is terminal (or timeout); on timeout returns
-  /// the current aggregate. nullopt = unknown id.
-  std::optional<PortfolioStatus> portfolio_wait(std::uint64_t id,
-                                                double timeout_s) const;
 
   /// Cancels a job. Queued → terminal kCancelled immediately; running → its
   /// StopToken is armed and the job lands terminal shortly (with the best-
@@ -293,8 +267,7 @@ class PlacementServer {
     std::size_t design_resident_bytes = 0;
     std::size_t batches = 0;            ///< batches tracked (live + retained)
     std::uint64_t dedup_hits = 0;       ///< submits served from the result cache
-    // Portfolio racing (DESIGN.md §16).
-    std::size_t portfolios = 0;         ///< portfolios tracked
+    std::size_t portfolios = 0;         ///< raced batches among them
     std::uint64_t portfolio_kills = 0;  ///< laggards killed early by the racer
   };
   Stats stats() const;
@@ -308,6 +281,8 @@ class PlacementServer {
   const ServerConfig& config() const { return cfg_; }
 
  private:
+  using DedupKey = std::pair<std::uint64_t, std::uint64_t>;
+
   // One live job: record + stop token + event ring. Jobs are heap-allocated
   // (shared_ptr: waiters in wait()/events() hold a reference so eviction
   // from the result store cannot pull a condition_variable out from under
@@ -326,7 +301,7 @@ class PlacementServer {
     /// Dedup registration: (design_hash, config_hash) this job serves in
     /// dedup_index_ ({0,0} = none). Kept on the job so settling/eviction can
     /// drop the index entry without re-deriving the design hash.
-    std::pair<std::uint64_t, std::uint64_t> dedup_key{0, 0};
+    DedupKey dedup_key{0, 0};
     std::condition_variable cv;  ///< waits on mutex_: events + state changes
   };
 
@@ -350,6 +325,14 @@ class PlacementServer {
   /// FNV-1a over the placement-config slice of a spec (everything that
   /// changes the result at a fixed design) — the dedup key's second half.
   std::uint64_t config_hash(const JobSpec& spec) const;
+  /// The job serving `key` — kDone or still live — or 0 when none does.
+  std::uint64_t dedup_target_locked(const DedupKey& key) const;
+  /// Resolves a spec's design source (stored hash, aux, or demo) through the
+  /// store; *ref receives the source to journal (empty for a stored hash).
+  DesignStore::SnapshotPtr load_design(const JobSpec& spec,
+                                       DesignStore::SourceRef* ref,
+                                       std::string* error);
+  void note_rejected_locked();
   BatchStatus batch_status_locked(std::uint64_t id) const;
   void journal_design_ref_locked(std::uint64_t hash,
                                  const DesignStore::SourceRef& ref);
@@ -393,35 +376,23 @@ class PlacementServer {
   std::uint64_t deadline_missed_ = 0;
   std::uint64_t dedup_hits_ = 0;
 
-  // Batch sweeps (under mutex_). Batches are bookkeeping only — member jobs
-  // live in jobs_ like any other; a batch row just names them.
+  // Batches (under mutex_). Batches are bookkeeping only — member jobs live
+  // in jobs_ like any other; a batch row just names them, plus the race
+  // section and the racer's tally when the batch is a portfolio.
   struct Batch {
-    std::uint64_t id = 0;
-    std::uint64_t design_hash = 0;
-    std::string label;
-    std::vector<BatchJobRef> jobs;
-    double submitted_s = 0.0;
+    BatchInfo info;          ///< design, label, members, race (journaled)
+    std::size_t killed = 0;  ///< laggards the racer cancelled
+    bool settled = false;    ///< raced and all terminal: racer stops sampling
   };
   std::map<std::uint64_t, Batch> batches_;
   std::uint64_t next_batch_id_ = 1;
-
-  // Portfolio racing (under mutex_, DESIGN.md §16). A portfolio row names a
-  // batch plus the racing policy; member jobs live in jobs_ like any other.
-  struct Portfolio {
-    std::uint64_t id = 0;
-    PortfolioInfo info;       ///< batch id, design, seed, K, policy (journaled)
-    std::size_t killed = 0;   ///< laggards the racer cancelled
-    bool settled = false;     ///< all members terminal; racer stops sampling
-  };
-  std::map<std::uint64_t, Portfolio> portfolios_;
-  std::uint64_t next_portfolio_id_ = 1;
   std::uint64_t portfolio_kills_ = 0;
 
-  PortfolioStatus portfolio_status_locked(const Portfolio& p) const;
-  /// One racer pass over every live portfolio: sample member progress from
+  /// One racer pass over every live raced batch: sample member progress from
   /// the event rings, kill strict laggards via cancel_locked. Caller holds
   /// mutex_.
   void race_portfolios_locked();
+  /// Racer thread body; started only when cfg_.portfolio_poll_s > 0.
   void portfolio_loop();
   std::condition_variable portfolio_cv_;
   bool portfolio_stop_ = false;
@@ -429,7 +400,7 @@ class PlacementServer {
   /// (design_hash, config_hash) → job id serving that exact placement; used
   /// by dedup-enabled submits. Entries are dropped when the target job ends
   /// non-kDone or is evicted from the result store.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> dedup_index_;
+  std::map<DedupKey, std::uint64_t> dedup_index_;
   /// Design hashes already journaled as kDesignRef (avoid duplicate records).
   std::map<std::uint64_t, bool> journaled_designs_;
 

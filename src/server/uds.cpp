@@ -247,19 +247,27 @@ json::Object design_to_json(const DesignStore::Entry& e) {
   return o;
 }
 
-json::Object batch_to_json(const PlacementServer::BatchStatus& b) {
-  json::Object o;
-  o.emplace_back("id", b.id);
-  o.emplace_back("design", hash_to_hex(b.design_hash));
-  if (!b.label.empty()) o.emplace_back("label", b.label);
+json::Value job_refs_to_json(
+    const std::vector<PlacementServer::BatchJobRef>& refs) {
   json::Array jobs;
-  for (const auto& j : b.jobs) {
+  for (const auto& j : refs) {
     json::Object jo;
     jo.emplace_back("id", j.id);
     jo.emplace_back("dedup", json::Value(j.deduped));
     jobs.emplace_back(std::move(jo));
   }
-  o.emplace_back("jobs", json::Value(std::move(jobs)));
+  return json::Value(std::move(jobs));
+}
+
+/// The one batch serializer, sent as "batch" by the batch verbs and as
+/// "portfolio" by the portfolio aliases. A raced batch adds its race section
+/// (with "batch", "winner" and "winner_hpwl" as the portfolio spellings).
+json::Object batch_to_json(const PlacementServer::BatchStatus& b) {
+  json::Object o;
+  o.emplace_back("id", b.id);
+  o.emplace_back("design", hash_to_hex(b.design_hash));
+  if (!b.label.empty()) o.emplace_back("label", b.label);
+  o.emplace_back("jobs", job_refs_to_json(b.jobs));
   o.emplace_back("queued", static_cast<std::uint64_t>(b.queued));
   o.emplace_back("running", static_cast<std::uint64_t>(b.running));
   o.emplace_back("done", static_cast<std::uint64_t>(b.done));
@@ -271,37 +279,18 @@ json::Object batch_to_json(const PlacementServer::BatchStatus& b) {
     o.emplace_back("best_hpwl", b.best_hpwl);
     o.emplace_back("best_job", b.best_job);
   }
-  return o;
-}
-
-json::Object portfolio_to_json(const PlacementServer::PortfolioStatus& p) {
-  json::Object o;
-  o.emplace_back("id", p.id);
-  o.emplace_back("batch", p.batch_id);
-  o.emplace_back("design", hash_to_hex(p.design_hash));
-  if (!p.label.empty()) o.emplace_back("label", p.label);
-  o.emplace_back("base_seed", p.base_seed);
-  json::Array jobs;
-  for (const auto& j : p.jobs) {
-    json::Object jo;
-    jo.emplace_back("id", j.id);
-    jo.emplace_back("dedup", json::Value(j.deduped));
-    jobs.emplace_back(std::move(jo));
+  if (b.race) {
+    o.emplace_back("batch", b.id);
+    o.emplace_back("base_seed", b.race->base_seed);
+    o.emplace_back("killed", static_cast<std::uint64_t>(b.killed));
+    if (b.best_job != 0) {
+      o.emplace_back("winner", b.best_job);
+      o.emplace_back("winner_hpwl", b.best_hpwl);
+    }
+    if (b.race->deadline_s > 0) {
+      o.emplace_back("deadline_s", b.race->deadline_s);
+    }
   }
-  o.emplace_back("jobs", json::Value(std::move(jobs)));
-  o.emplace_back("queued", static_cast<std::uint64_t>(p.queued));
-  o.emplace_back("running", static_cast<std::uint64_t>(p.running));
-  o.emplace_back("done", static_cast<std::uint64_t>(p.done));
-  o.emplace_back("cancelled", static_cast<std::uint64_t>(p.cancelled));
-  o.emplace_back("failed", static_cast<std::uint64_t>(p.failed));
-  o.emplace_back("shed", static_cast<std::uint64_t>(p.shed));
-  o.emplace_back("killed", static_cast<std::uint64_t>(p.killed));
-  o.emplace_back("all_terminal", json::Value(p.all_terminal));
-  if (p.winner != 0) {
-    o.emplace_back("winner", p.winner);
-    o.emplace_back("winner_hpwl", p.winner_hpwl);
-  }
-  if (p.deadline_s > 0) o.emplace_back("deadline_s", p.deadline_s);
   return o;
 }
 
@@ -413,38 +402,61 @@ void handle_connection(PlacementServer& server, ServeState& state, int fd) {
         }
         break;
       }
-      case Command::kSubmitBatch: {
-        const auto out = server.submit_batch(req.spec, req.configs);
+      case Command::kSubmitBatch:
+      case Command::kSubmitPortfolio: {
+        const bool portfolio = req.cmd == Command::kSubmitPortfolio;
+        // Racer policy: server default with any per-request overrides.
+        RacePolicy policy = server.config().portfolio_policy;
+        if (req.kill_min_iter >= 0) policy.min_iter = req.kill_min_iter;
+        if (req.kill_margin > 0) policy.hpwl_margin = req.kill_margin;
+        if (req.kill_slack != kNoSlackOverride) {
+          policy.overflow_slack = req.kill_slack;
+        }
+        if (req.no_kill) policy.no_kill = true;
+        const auto out =
+            portfolio ? server.submit_portfolio(req.spec, req.k,
+                                                req.spec.deadline_s, policy)
+                      : server.submit_batch(req.spec, req.configs);
         if (!out.ok) {
           stream.write_line(make_error(out.error));
           break;
         }
         json::Object o;
+        if (portfolio) o.emplace_back("portfolio", out.batch_id);
         o.emplace_back("batch", out.batch_id);
         o.emplace_back("design", hash_to_hex(out.design_hash));
-        json::Array jobs;
-        for (const auto& j : out.jobs) {
-          json::Object jo;
-          jo.emplace_back("id", j.id);
-          jo.emplace_back("dedup", json::Value(j.deduped));
-          jobs.emplace_back(std::move(jo));
-        }
-        o.emplace_back("jobs", json::Value(std::move(jobs)));
+        o.emplace_back("jobs", job_refs_to_json(out.jobs));
         stream.write_line(make_ok(std::move(o)));
         break;
       }
       case Command::kBatchStatus:
-      case Command::kBatchResult: {
-        const bool block = req.cmd == Command::kBatchResult && req.wait;
-        const auto batch = block ? server.batch_wait(req.id, req.timeout_s)
-                                 : server.batch_status(req.id);
-        if (!batch) {
-          stream.write_line(make_error("unknown batch id"));
+      case Command::kBatchResult:
+      case Command::kPortfolioStatus:
+      case Command::kPortfolioResult: {
+        // The portfolio verbs are aliases over the same batch: they only
+        // refuse ids of batches that carry no race section.
+        const bool portfolio = req.cmd == Command::kPortfolioStatus ||
+                               req.cmd == Command::kPortfolioResult;
+        const bool result = req.cmd == Command::kBatchResult ||
+                            req.cmd == Command::kPortfolioResult;
+        auto batch = server.batch_status(req.id);
+        if (!batch || (portfolio && !batch->race)) {
+          stream.write_line(make_error(portfolio ? "unknown portfolio id"
+                                                 : "unknown batch id"));
           break;
         }
+        if (result && req.wait) {
+          batch = server.batch_wait(req.id, req.timeout_s);
+        }
         json::Object o;
-        o.emplace_back("batch", json::Value(batch_to_json(*batch)));
-        if (req.cmd == Command::kBatchResult) {
+        o.emplace_back(portfolio ? "portfolio" : "batch",
+                       json::Value(batch_to_json(*batch)));
+        if (result) {
+          if (batch->best_job != 0) {
+            if (const auto rec = server.status(batch->best_job)) {
+              o.emplace_back("winner", json::Value(job_to_json(*rec)));
+            }
+          }
           json::Array jobs;
           for (const auto& j : batch->jobs) {
             if (const auto rec = server.status(j.id)) {
@@ -465,64 +477,6 @@ void handle_connection(PlacementServer& server, ServeState& state, int fd) {
         }
         json::Object o;
         o.emplace_back("cancelled", static_cast<std::uint64_t>(cancelled));
-        stream.write_line(make_ok(std::move(o)));
-        break;
-      }
-      case Command::kSubmitPortfolio: {
-        // Racer policy: server default with any per-request overrides.
-        RacePolicy policy = server.config().portfolio_policy;
-        if (req.kill_min_iter >= 0) policy.min_iter = req.kill_min_iter;
-        if (req.kill_margin > 0) policy.hpwl_margin = req.kill_margin;
-        if (req.kill_slack != kNoSlackOverride) {
-          policy.overflow_slack = req.kill_slack;
-        }
-        if (req.no_kill) policy.no_kill = true;
-        const auto out = server.submit_portfolio(req.spec, req.k,
-                                                 req.spec.deadline_s, policy);
-        if (!out.ok) {
-          stream.write_line(make_error(out.error));
-          break;
-        }
-        json::Object o;
-        o.emplace_back("portfolio", out.portfolio_id);
-        o.emplace_back("batch", out.batch_id);
-        o.emplace_back("design", hash_to_hex(out.design_hash));
-        json::Array jobs;
-        for (const auto& j : out.jobs) {
-          json::Object jo;
-          jo.emplace_back("id", j.id);
-          jo.emplace_back("dedup", json::Value(j.deduped));
-          jobs.emplace_back(std::move(jo));
-        }
-        o.emplace_back("jobs", json::Value(std::move(jobs)));
-        stream.write_line(make_ok(std::move(o)));
-        break;
-      }
-      case Command::kPortfolioStatus:
-      case Command::kPortfolioResult: {
-        const bool block = req.cmd == Command::kPortfolioResult && req.wait;
-        const auto p = block ? server.portfolio_wait(req.id, req.timeout_s)
-                             : server.portfolio_status(req.id);
-        if (!p) {
-          stream.write_line(make_error("unknown portfolio id"));
-          break;
-        }
-        json::Object o;
-        o.emplace_back("portfolio", json::Value(portfolio_to_json(*p)));
-        if (req.cmd == Command::kPortfolioResult) {
-          if (p->winner != 0) {
-            if (const auto rec = server.status(p->winner)) {
-              o.emplace_back("winner", json::Value(job_to_json(*rec)));
-            }
-          }
-          json::Array jobs;
-          for (const auto& j : p->jobs) {
-            if (const auto rec = server.status(j.id)) {
-              jobs.emplace_back(job_to_json(*rec));
-            }
-          }
-          o.emplace_back("jobs", json::Value(std::move(jobs)));
-        }
         stream.write_line(make_ok(std::move(o)));
         break;
       }

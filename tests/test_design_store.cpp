@@ -428,6 +428,62 @@ TEST(ServerBatch, WholeBatchRejectedWhenQueueCannotTakeIt) {
   srv.shutdown(/*drain=*/false);
 }
 
+TEST(ServerBatch, DuplicateConfigsNeedOneSeat) {
+  // [A, B, A] with dedup on needs two queue seats: the repeat of A is served
+  // by A's job, so a 2-seat queue must admit the batch whole.
+  ServerConfig cfg;
+  cfg.max_concurrency = 1;
+  cfg.queue_capacity = 2;
+  PlacementServer srv(cfg);
+  JobSpec base;
+  base.demo_cells = 120;
+  base.demo_seed = 3;
+  const std::vector<JobSpec> configs = {batch_config(1), batch_config(2),
+                                        batch_config(1)};
+  const auto batch = srv.submit_batch(base, configs);
+  ASSERT_TRUE(batch.ok) << batch.error;
+  ASSERT_EQ(batch.jobs.size(), 3u);
+  EXPECT_FALSE(batch.jobs[0].deduped);
+  EXPECT_FALSE(batch.jobs[1].deduped);
+  EXPECT_TRUE(batch.jobs[2].deduped);
+  EXPECT_EQ(batch.jobs[2].id, batch.jobs[0].id);
+  EXPECT_EQ(srv.stats().submitted, 2u);
+  srv.shutdown(/*drain=*/false);
+}
+
+TEST(ServerBatch, ExactHpwlTieGoesToLowerJobId) {
+  // Two jobs of one config place bit-identically. The second batch lists a
+  // fresh run of it (dedup off) before a dedup hit on the first batch's job,
+  // so its member order puts the higher id first; the lower id still wins.
+  ServerConfig cfg;
+  cfg.max_concurrency = 1;
+  PlacementServer srv(cfg);
+  JobSpec base;
+  base.demo_cells = 120;
+  base.demo_seed = 3;
+  const auto first = srv.submit_batch(base, {batch_config(1)});
+  ASSERT_TRUE(first.ok) << first.error;
+  JobSpec fresh = batch_config(1);
+  fresh.dedup = false;
+  const auto second = srv.submit_batch(base, {fresh, batch_config(1)});
+  ASSERT_TRUE(second.ok) << second.error;
+  ASSERT_EQ(second.jobs.size(), 2u);
+  ASSERT_TRUE(second.jobs[1].deduped);
+  ASSERT_EQ(second.jobs[1].id, first.jobs[0].id);
+  ASSERT_GT(second.jobs[0].id, second.jobs[1].id);
+  const auto st = srv.batch_wait(second.batch_id, 300.0);
+  ASSERT_TRUE(st.has_value());
+  ASSERT_TRUE(st->all_terminal);
+  const auto rerun = srv.status(second.jobs[0].id);
+  const auto original = srv.status(first.jobs[0].id);
+  ASSERT_TRUE(rerun.has_value());
+  ASSERT_TRUE(original.has_value());
+  ASSERT_EQ(rerun->hpwl, original->hpwl);  // bitwise tie
+  EXPECT_EQ(st->best_job, first.jobs[0].id);
+  EXPECT_EQ(st->best_hpwl, original->hpwl);
+  srv.shutdown(/*drain=*/false);
+}
+
 // ---------------------------------------------------------------------------
 // Journal codecs + recovery
 // ---------------------------------------------------------------------------

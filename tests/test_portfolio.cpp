@@ -1,15 +1,21 @@
-// Portfolio-runner subsystem tests (DESIGN.md §16): deterministic plan
+// Portfolio-runner subsystem tests (DESIGN.md §14, §16): deterministic plan
 // generation, the laggard-racing policy in isolation, end-to-end K-way
-// portfolios on an in-process PlacementServer (winner determinism, early
-// kill), crash-restart recovery from a fabricated journal, batch-cancel,
-// the hill-climb kick's never-worse guarantee, and the protocol/codec
-// round-trips for the new verbs.
+// portfolios (raced batches) on an in-process PlacementServer (winner
+// determinism, early kill), crash-restart recovery from a fabricated journal,
+// batch-cancel, the shared batch/portfolio id space and verb aliases over the
+// socket, the hill-climb kick's never-worse guarantee, and the protocol/codec
+// round-trips for the portfolio verbs.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/placer.h"
@@ -19,6 +25,7 @@
 #include "server/protocol.h"
 #include "server/recovery.h"
 #include "server/server.h"
+#include "server/uds.h"
 
 namespace xplace::server {
 namespace {
@@ -212,19 +219,19 @@ TEST(ServerPortfolio, DeterministicWinnerAcrossServers) {
         srv.submit_portfolio(portfolio_base(up.hash), 3, 0.0, no_kill);
     ASSERT_TRUE(out.ok) << out.error;
     ASSERT_EQ(out.jobs.size(), 3u);
-    const auto st = srv.portfolio_wait(out.portfolio_id, 300.0);
+    const auto st = srv.batch_wait(out.batch_id, 300.0);
     ASSERT_TRUE(st.has_value());
     ASSERT_TRUE(st->all_terminal);
     EXPECT_EQ(st->done, 3u);
-    ASSERT_NE(st->winner, 0u);
-    *winner = st->winner;
-    *winner_hpwl = st->winner_hpwl;
+    ASSERT_NE(st->best_job, 0u);
+    *winner = st->best_job;
+    *winner_hpwl = st->best_hpwl;
     *parses = srv.stats().design_parses;
     // The winner is the min-HPWL done member, and never worse than the
     // unperturbed baseline (member v0 = jobs[0]).
     const auto v0 = srv.status(out.jobs[0].id);
     ASSERT_TRUE(v0.has_value());
-    EXPECT_LE(st->winner_hpwl, v0->hpwl);
+    EXPECT_LE(st->best_hpwl, v0->hpwl);
     srv.shutdown(/*drain=*/false);
   };
   std::uint64_t w1 = 0, w2 = 0;
@@ -259,7 +266,7 @@ TEST(ServerPortfolio, VariantsAreDistinctUnderDedup) {
   // K distinct member jobs (no intra-portfolio dedup).
   EXPECT_NE(a.jobs[0].id, a.jobs[1].id);
   EXPECT_NE(a.jobs[1].id, a.jobs[2].id);
-  ASSERT_TRUE(srv.portfolio_wait(a.portfolio_id, 300.0)->all_terminal);
+  ASSERT_TRUE(srv.batch_wait(a.batch_id, 300.0)->all_terminal);
 
   const auto b =
       srv.submit_portfolio(portfolio_base(up.hash, 25), 3, 0.0, no_kill);
@@ -293,7 +300,7 @@ TEST(ServerPortfolio, EarlyKillCommitsLosersBestSnapshot) {
   const auto out =
       srv.submit_portfolio(portfolio_base(up.hash, 4000), 2, 0.0, aggressive);
   ASSERT_TRUE(out.ok) << out.error;
-  const auto st = srv.portfolio_wait(out.portfolio_id, 300.0);
+  const auto st = srv.batch_wait(out.batch_id, 300.0);
   ASSERT_TRUE(st.has_value());
   ASSERT_TRUE(st->all_terminal);
   ASSERT_GE(st->killed, 1u);
@@ -313,8 +320,8 @@ TEST(ServerPortfolio, EarlyKillCommitsLosersBestSnapshot) {
   }
   EXPECT_EQ(cancelled_seen, st->killed);
   // The winner survived and finished.
-  ASSERT_NE(st->winner, 0u);
-  const auto win = srv.status(st->winner);
+  ASSERT_NE(st->best_job, 0u);
+  const auto win = srv.status(st->best_job);
   ASSERT_TRUE(win.has_value());
   EXPECT_EQ(win->state, JobState::kDone);
   srv.shutdown(/*drain=*/false);
@@ -332,7 +339,7 @@ TEST(ServerPortfolio, SubmitValidation) {
   EXPECT_FALSE(srv.submit_portfolio(portfolio_base(up.hash), 1, 0.0).ok);
   EXPECT_FALSE(srv.submit_portfolio(portfolio_base(up.hash), 65, 0.0).ok);
   EXPECT_FALSE(srv.submit_portfolio(portfolio_base(up.hash), 4, -1.0).ok);
-  EXPECT_FALSE(srv.portfolio_status(99).has_value());
+  EXPECT_FALSE(srv.batch_status(99).has_value());
   srv.shutdown(/*drain=*/false);
 }
 
@@ -381,88 +388,115 @@ TEST(ServerBatchCancel, CancelsEveryNonTerminalMember) {
 // Crash-restart recovery
 // ---------------------------------------------------------------------------
 
+BatchRace night_race() {
+  BatchRace race;
+  race.base_seed = 11;
+  race.k = 4;
+  race.deadline_s = 120.5;
+  race.policy.min_iter = 25;
+  race.policy.hpwl_margin = 1.08;
+  race.policy.overflow_slack = -0.02;
+  race.policy.min_survivors = 2;
+  race.policy.no_kill = true;
+  return race;
+}
+
+void expect_same_race(const BatchRace& got, const BatchRace& want) {
+  EXPECT_EQ(got.base_seed, want.base_seed);
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.deadline_s, want.deadline_s);
+  EXPECT_EQ(got.policy.min_iter, want.policy.min_iter);
+  EXPECT_EQ(got.policy.hpwl_margin, want.policy.hpwl_margin);
+  EXPECT_EQ(got.policy.overflow_slack, want.policy.overflow_slack);
+  EXPECT_EQ(got.policy.min_survivors, want.policy.min_survivors);
+  EXPECT_EQ(got.policy.no_kill, want.policy.no_kill);
+}
+
 TEST(PortfolioRecovery, CodecRoundTrip) {
-  PortfolioInfo info;
-  info.batch_id = 7;
+  // A portfolio journals as one kBatch record with the race section appended.
+  BatchInfo info;
   info.design_hash = 0xdeadbeefcafef00dULL;
-  info.base_seed = 11;
-  info.k = 4;
-  info.deadline_s = 120.5;
   info.label = "night_sweep";
-  info.min_iter = 25;
-  info.hpwl_margin = 1.08;
-  info.overflow_slack = -0.02;
-  info.no_kill = 1;
-  PortfolioInfo out;
-  ASSERT_TRUE(decode_portfolio(encode_portfolio(info), &out));
-  EXPECT_EQ(out.batch_id, info.batch_id);
+  info.job_ids = {3, 4, 5, 6};
+  info.deduped = {0, 0, 1, 0};
+  info.race = night_race();
+  BatchInfo out;
+  ASSERT_TRUE(decode_batch(encode_batch(info), &out));
   EXPECT_EQ(out.design_hash, info.design_hash);
-  EXPECT_EQ(out.base_seed, info.base_seed);
-  EXPECT_EQ(out.k, info.k);
-  EXPECT_EQ(out.deadline_s, info.deadline_s);
   EXPECT_EQ(out.label, info.label);
-  EXPECT_EQ(out.min_iter, info.min_iter);
-  EXPECT_EQ(out.hpwl_margin, info.hpwl_margin);
-  EXPECT_EQ(out.overflow_slack, info.overflow_slack);
-  EXPECT_EQ(out.no_kill, info.no_kill);
-  EXPECT_FALSE(decode_portfolio("short", &out));
+  EXPECT_EQ(out.job_ids, info.job_ids);
+  EXPECT_EQ(out.deduped, info.deduped);
+  ASSERT_TRUE(out.race.has_value());
+  expect_same_race(*out.race, *info.race);
+  // A plain batch decodes without a race section, even into a reused struct.
+  info.race.reset();
+  ASSERT_TRUE(decode_batch(encode_batch(info), &out));
+  EXPECT_FALSE(out.race.has_value());
+  EXPECT_FALSE(decode_batch("short", &out));
+}
+
+io::JournalRecord journal_rec(JournalEvent type, std::uint64_t id,
+                              std::string payload) {
+  io::JournalRecord r;
+  r.type = static_cast<std::uint32_t>(type);
+  r.job_id = id;
+  r.time_s = 0.0;
+  r.payload = std::move(payload);
+  return r;
+}
+
+std::size_t count_batch_records(const std::vector<io::JournalRecord>& recs,
+                                std::uint64_t id) {
+  std::size_t n = 0;
+  for (const io::JournalRecord& r : recs) {
+    n += r.type == static_cast<std::uint32_t>(JournalEvent::kBatch) &&
+         r.job_id == id;
+  }
+  return n;
 }
 
 TEST(PortfolioRecovery, CrashMidPortfolioRecoversAndSettles) {
   const fs::path state = fresh_dir("crash");
   const std::uint64_t dhash = io::demo_content_hash(130, 5);
+  const BatchRace race = night_race();
 
   // Fabricate the journal a daemon killed mid-portfolio would leave: design
-  // ref, member 1 finished, member 2 still queued, the batch + portfolio
-  // records — and no clean-shutdown marker.
+  // ref, member 1 finished, member 2 still queued, the one batch record with
+  // its race section — and no clean-shutdown marker.
   {
     io::JournalWriter w;
     ASSERT_TRUE(w.open((state / "journal.xpjl").string(), /*truncate=*/true));
-    const auto rec = [](JournalEvent type, std::uint64_t id,
-                        std::string payload) {
-      io::JournalRecord r;
-      r.type = static_cast<std::uint32_t>(type);
-      r.job_id = id;
-      r.time_s = 0.0;
-      r.payload = std::move(payload);
-      return r;
-    };
     DesignRefInfo ref;
     ref.demo = true;
     ref.cells = 130;
     ref.seed = 5;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kDesignRef, dhash,
-                             encode_design_ref(ref))));
+    ASSERT_TRUE(w.append(journal_rec(JournalEvent::kDesignRef, dhash,
+                                     encode_design_ref(ref))));
     JobSpec m1 = portfolio_base(dhash, 25);
     m1.batch_id = 1;
-    m1.portfolio_id = 1;
     m1.dedup = true;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, 1, encode_submit(m1, 0))));
-    ASSERT_TRUE(w.append(rec(JournalEvent::kStart, 1, {})));
+    ASSERT_TRUE(w.append(
+        journal_rec(JournalEvent::kSubmit, 1, encode_submit(m1, 0))));
+    ASSERT_TRUE(w.append(journal_rec(JournalEvent::kStart, 1, {})));
     FinishInfo fin;
     fin.state = JobState::kDone;
     fin.hpwl = 42.5;
     fin.iterations = 25;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kFinish, 1, encode_finish(fin))));
+    ASSERT_TRUE(w.append(
+        journal_rec(JournalEvent::kFinish, 1, encode_finish(fin))));
     JobSpec m2 = m1;
     m2.seed = 2;
     m2.gamma_scale = 1.1;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, 2, encode_submit(m2, 0))));
+    ASSERT_TRUE(w.append(
+        journal_rec(JournalEvent::kSubmit, 2, encode_submit(m2, 0))));
     BatchInfo batch;
     batch.design_hash = dhash;
     batch.label = "p1";
     batch.job_ids = {1, 2};
     batch.deduped = {0, 0};
-    ASSERT_TRUE(w.append(rec(JournalEvent::kBatch, 1, encode_batch(batch))));
-    PortfolioInfo pf;
-    pf.batch_id = 1;
-    pf.design_hash = dhash;
-    pf.base_seed = 1;
-    pf.k = 2;
-    pf.label = "p1";
-    pf.no_kill = 1;
-    ASSERT_TRUE(w.append(rec(JournalEvent::kPortfolio, 1,
-                             encode_portfolio(pf))));
+    batch.race = race;
+    ASSERT_TRUE(w.append(
+        journal_rec(JournalEvent::kBatch, 1, encode_batch(batch))));
   }
 
   ServerConfig cfg;
@@ -470,32 +504,180 @@ TEST(PortfolioRecovery, CrashMidPortfolioRecoversAndSettles) {
   cfg.state_dir = state.string();
   PlacementServer srv(cfg);
 
-  // The portfolio aggregate survived the crash...
-  const auto st0 = srv.portfolio_status(1);
+  // The raced batch survived the crash with its race section...
+  const auto st0 = srv.batch_status(1);
   ASSERT_TRUE(st0.has_value());
-  EXPECT_EQ(st0->batch_id, 1u);
+  EXPECT_EQ(st0->id, 1u);
   EXPECT_EQ(st0->design_hash, dhash);
-  EXPECT_EQ(st0->base_seed, 1u);
+  ASSERT_TRUE(st0->race.has_value());
+  expect_same_race(*st0->race, race);
   ASSERT_EQ(st0->jobs.size(), 2u);
+  // ...and startup compaction kept it as exactly one record.
+  EXPECT_EQ(count_batch_records(
+                io::read_journal((state / "journal.xpjl").string()).records,
+                1),
+            1u);
 
-  // ...and settles: member 1 replays as done, member 2 re-runs to terminal.
-  const auto st = srv.portfolio_wait(1, 300.0);
+  // It settles: member 1 replays as done, member 2 re-runs to terminal, and
+  // the replayed member's (fabricated, tiny) HPWL wins.
+  const auto st = srv.batch_wait(1, 300.0);
   ASSERT_TRUE(st.has_value());
   EXPECT_TRUE(st->all_terminal);
   EXPECT_EQ(st->done, 2u);
-  ASSERT_NE(st->winner, 0u);
-  EXPECT_GT(st->winner_hpwl, 0.0);
+  EXPECT_EQ(st->best_job, 1u);
+  EXPECT_EQ(st->best_hpwl, 42.5);
 
   // Ids keep advancing past the recovered portfolio.
-  JobSpec src;
-  src.demo_cells = 130;
-  src.demo_seed = 5;
   const auto out = srv.submit_portfolio(portfolio_base(dhash, 25), 2, 0.0);
   ASSERT_TRUE(out.ok) << out.error;
-  EXPECT_EQ(out.portfolio_id, 2u);
+  EXPECT_EQ(out.batch_id, 2u);
 
   srv.shutdown(/*drain=*/true);
   fs::remove_all(state);
+}
+
+TEST(PortfolioRecovery, CompactionEmitsOneRecordPerBatch) {
+  // A plain batch, a raced batch, and a re-journaled copy of the raced one:
+  // compaction folds them into one kBatch record per batch id, and the race
+  // section rides inside the record.
+  BatchInfo plain;
+  plain.design_hash = 0x1234ULL;
+  plain.job_ids = {1, 2};
+  plain.deduped = {0, 1};
+  BatchInfo raced = plain;
+  raced.job_ids = {3, 4};
+  raced.deduped = {0, 0};
+  raced.race = night_race();
+  io::JournalReplay replay;
+  replay.records = {
+      journal_rec(JournalEvent::kBatch, 1, encode_batch(plain)),
+      journal_rec(JournalEvent::kBatch, 2, encode_batch(raced)),
+      journal_rec(JournalEvent::kBatch, 2, encode_batch(raced)),
+  };
+  const RecoveryPlan plan = build_recovery_plan(replay);
+  EXPECT_EQ(plan.max_batch_id, 2u);
+  const std::vector<io::JournalRecord> recs = compaction_records(plan);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(count_batch_records(recs, 1), 1u);
+  EXPECT_EQ(count_batch_records(recs, 2), 1u);
+  BatchInfo back;
+  ASSERT_TRUE(decode_batch(recs[0].payload, &back));
+  EXPECT_FALSE(back.race.has_value());
+  ASSERT_TRUE(decode_batch(recs[1].payload, &back));
+  ASSERT_TRUE(back.race.has_value());
+  expect_same_race(*back.race, night_race());
+}
+
+// ---------------------------------------------------------------------------
+// One batch abstraction over the wire: shared ids, aliased verbs
+// ---------------------------------------------------------------------------
+
+class PortfolioDaemonTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    socket_path_ = (fs::temp_directory_path() /
+                    ("xplace_portfolio_" + std::to_string(::getpid()) +
+                     ".sock"))
+                       .string();
+    ServerConfig cfg;
+    cfg.max_concurrency = 2;
+    srv_ = std::make_unique<PlacementServer>(cfg);
+    daemon_ = std::thread([this] { serve(*srv_, socket_path_); });
+    for (int i = 0; i < 200; ++i) {
+      if (UdsStream::connect(socket_path_).valid()) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    JobSpec src;
+    src.demo_cells = 120;
+    src.demo_seed = 2;
+    const auto up = srv_->upload_design(src);
+    ASSERT_TRUE(up.ok) << up.error;
+    design_ = hash_to_hex(up.hash);
+  }
+
+  void TearDown() override {
+    rpc(R"({"cmd":"shutdown","drain":false})");
+    daemon_.join();
+  }
+
+  json::Value rpc(const std::string& request_line) {
+    UdsStream s = UdsStream::connect(socket_path_);
+    EXPECT_TRUE(s.valid());
+    EXPECT_TRUE(s.write_line(request_line));
+    std::string line;
+    bool oversized = false;
+    EXPECT_TRUE(s.read_line(&line, &oversized));
+    json::Value v;
+    std::string error;
+    EXPECT_TRUE(json::parse(line, &v, &error)) << line;
+    return v;
+  }
+
+  /// Submits a K-member portfolio over the socket; returns its response.
+  json::Value submit_portfolio(int k) {
+    return rpc(R"({"cmd":"submit-portfolio","design":")" + design_ +
+               R"(","k":)" + std::to_string(k) +
+               R"(,"seed":1,"max_iters":25,"grid":32,"full_flow":false})");
+  }
+
+  std::string socket_path_;
+  std::string design_;
+  std::unique_ptr<PlacementServer> srv_;
+  std::thread daemon_;
+};
+
+TEST_F(PortfolioDaemonTest, PortfolioIdIsItsBatchId) {
+  const json::Value batch = rpc(
+      R"({"cmd":"submit-batch","design":")" + design_ +
+      R"(","max_iters":25,"grid":32,"full_flow":false,)"
+      R"("configs":[{"seed":1},{"seed":2}]})");
+  ASSERT_TRUE(batch.get_bool("ok", false)) << batch.dump();
+  EXPECT_EQ(batch.get_number("batch", 0), 1.0);
+
+  const json::Value pf = submit_portfolio(2);
+  ASSERT_TRUE(pf.get_bool("ok", false)) << pf.dump();
+  EXPECT_EQ(pf.get_number("portfolio", 0), 2.0);
+  EXPECT_EQ(pf.get_number("batch", 0), 2.0);
+
+  // The plain batch has no race section, so the portfolio verbs refuse it...
+  const json::Value not_raced = rpc(R"({"cmd":"portfolio-status","id":1})");
+  EXPECT_FALSE(not_raced.get_bool("ok", true));
+  EXPECT_EQ(not_raced.get_string("error"), "unknown portfolio id");
+  // ...while the batch verbs serve both.
+  EXPECT_TRUE(rpc(R"({"cmd":"batch-status","id":2})").get_bool("ok", false));
+  EXPECT_TRUE(
+      rpc(R"({"cmd":"portfolio-status","id":2})").get_bool("ok", false));
+  const json::Value stats = rpc(R"({"cmd":"stats"})");
+  EXPECT_EQ(stats.get_number("batches", 0), 2.0);
+  EXPECT_EQ(stats.get_number("portfolios", 0), 1.0);
+}
+
+TEST_F(PortfolioDaemonTest, BatchAndPortfolioResultAgree) {
+  const json::Value pf = submit_portfolio(3);
+  ASSERT_TRUE(pf.get_bool("ok", false)) << pf.dump();
+  const std::string id = std::to_string(
+      static_cast<std::uint64_t>(pf.get_number("portfolio", 0)));
+  const json::Value p = rpc(R"({"cmd":"portfolio-result","wait":true,)"
+                            R"("timeout_s":300,"id":)" + id + "}");
+  const json::Value b = rpc(R"({"cmd":"batch-result","id":)" + id + "}");
+  ASSERT_TRUE(p.get_bool("ok", false)) << p.dump();
+  ASSERT_TRUE(b.get_bool("ok", false)) << b.dump();
+  const json::Value* pa = p.find("portfolio");
+  const json::Value* ba = b.find("batch");
+  ASSERT_NE(pa, nullptr);
+  ASSERT_NE(ba, nullptr);
+  EXPECT_TRUE(pa->get_bool("all_terminal", false));
+  // One serializer: the same aggregate under either key, members included.
+  EXPECT_EQ(pa->dump(), ba->dump());
+  EXPECT_EQ(pa->find("jobs")->dump(), ba->find("jobs")->dump());
+  EXPECT_EQ(pa->get_number("killed", -1), ba->get_number("killed", -2));
+  EXPECT_NE(pa->get_number("winner", 0), 0.0);
+  EXPECT_EQ(pa->get_number("winner", 0), ba->get_number("best_job", -1));
+  // The winner job object and the member records agree too.
+  ASSERT_NE(p.find("winner"), nullptr);
+  ASSERT_NE(b.find("winner"), nullptr);
+  EXPECT_EQ(p.find("winner")->dump(), b.find("winner")->dump());
+  EXPECT_EQ(p.find("jobs")->dump(), b.find("jobs")->dump());
 }
 
 // ---------------------------------------------------------------------------
