@@ -23,6 +23,22 @@ struct NetlistView {
   /// 1 for nets included in wirelength (degree >= 2), 0 for degenerate nets.
   std::vector<std::uint8_t> net_mask;
 
+  // ---- net-lane WA layout of the masked nets (DESIGN.md §18) ----
+  static constexpr std::size_t kLanes = 8;           ///< nets per group
+  static constexpr std::size_t kLaneDegreeCap = 64;  ///< above: 1-lane groups
+  /// `nets` nets of `degree` pins; pin i of lane l is slot base + i·lanes + l.
+  /// Lanes past `nets` repeat lane 0 and are never read back.
+  struct LaneGroup {
+    std::uint32_t base, degree, lanes, nets;
+    std::uint32_t net[kLanes];
+  };
+  std::vector<LaneGroup> groups;  ///< by degree, then net id; big nets last
+  std::vector<std::uint32_t> slot_cell;
+  std::vector<float> slot_ox, slot_oy;
+  /// Cell → slot CSR (size num_cells+1), each list in increasing pin id.
+  std::vector<std::uint32_t> cell_slot_start, cell_slot;
+  std::size_t max_group_slots = 0;  ///< largest degree·lanes of a group
+
   std::size_t degree(std::size_t e) const { return net_start[e + 1] - net_start[e]; }
 };
 

@@ -1,14 +1,13 @@
 // Multi-threaded variants of the heavy placement kernels.
 //
 // The GPU placer distributes per-net / per-cell work across CUDA threads; on
-// a multi-core host the same kernels are statically partitioned across a
-// ThreadPool:
-//   * nets are split into one contiguous range per worker; each worker
-//     scatters gradients into its own buffer; buffers are reduced in worker
-//     order — results are bitwise-deterministic for a fixed pool size and
-//     agree with the serial kernels to float accumulation order,
-//   * the density scatter uses per-worker bin maps (reduced the same way);
-//     below 512 cells it runs the serial kernel in place,
+// a multi-core host the same kernels are partitioned across a ThreadPool:
+//   * the fused WA kernel is the serial net-lane kernel (DESIGN.md §18) with
+//     its fixed-size group chunks and cell ranges spread over the workers —
+//     bitwise-equal to serial at any pool size,
+//   * the density scatter uses per-worker bin maps reduced in worker order
+//     (bitwise-deterministic for a fixed pool size); below 512 cells it runs
+//     the serial kernel in place,
 //   * the field gather is embarrassingly parallel (each cell's gradient slot
 //     is written by exactly one worker) and bitwise-equal to the serial one.
 //
@@ -16,9 +15,8 @@
 // kernel, not many. The fused wirelength kernel launches under the SAME op
 // name as its serial twin ("fused_wl_grad_hpwl") — the backend choice changes
 // how the kernel runs, not which kernel runs, so launch-count contracts hold
-// for either backend. Per-partition scratch persists across launches
-// (thread_local to the caller) and is zeroed inside each partition's own
-// task, keeping the steady-state path allocation-free.
+// for either backend. Scratch persists across launches (thread_local to the
+// caller), keeping the steady-state path allocation-free.
 #pragma once
 
 #include "ops/density.h"
@@ -28,7 +26,8 @@
 
 namespace xplace::ops {
 
-/// Parallel fused WA-wirelength + gradient + HPWL (operator combination).
+/// Pooled fused WA-wirelength + gradient + HPWL (operator combination);
+/// defined with the serial kernel in wirelength.cpp.
 WirelengthSums fused_wl_grad_hpwl_mt(const NetlistView& view, const float* x,
                                      const float* y, float gamma,
                                      float* grad_x, float* grad_y,

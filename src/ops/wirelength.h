@@ -10,6 +10,10 @@
 //   * the tape-decomposed elementary-op implementation lives in
 //     wirelength_tape.h (operator reduction OFF).
 //
+// The fused and separate kernels (and fused_wl_grad_hpwl_mt, ops/parallel.h)
+// run one net-lane loop (DESIGN.md §18) and give the same bits as a
+// per-net loop over the nets in order.
+//
 // Gradient convention: gradients of Σ_e w_e·WL_e(p) with respect to cell
 // centers are *accumulated* into grad_x/grad_y (callers zero them first).
 // The per-net max/min positions are treated as constants when differentiating

@@ -140,48 +140,67 @@ double ddot(const double* __restrict a, const double* __restrict b,
   return acc;
 }
 
-void gather_pin_pos(const float* __restrict pos,
-                    const std::uint32_t* __restrict cell,
-                    const float* __restrict off, float* __restrict px,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) px[i] = pos[cell[i]] + off[i];
-}
-void minmax(const float* __restrict px, std::size_t n, float* lo, float* hi) {
-  float mn = std::numeric_limits<float>::max();
-  float mx = std::numeric_limits<float>::lowest();
+// One net-lane WA group, lane by lane, as the historical per-net loop ran
+// it: std::exp terms (a float, held in double), double products and sums.
+namespace {
+
+// One lane and axis over gathered positions p: the stable WA sums, the
+// weighted gradient into gout[i·stride] when gout is non-null, and WL.
+double wa_axis(const float* p, std::size_t n, float lo, float hi, float ig,
+               float* s, float* u, float w, float* gout, std::size_t stride) {
+  double e_max = 0.0, xe_max = 0.0, e_min = 0.0, xe_min = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    mn = std::min(mn, px[i]);
-    mx = std::max(mx, px[i]);
+    s[i] = std::exp((p[i] - hi) * ig);
+    u[i] = std::exp((lo - p[i]) * ig);
+    e_max += s[i];
+    xe_max += p[i] * static_cast<double>(s[i]);
+    e_min += u[i];
+    xe_min += p[i] * static_cast<double>(u[i]);
   }
-  *lo = mn;
-  *hi = mx;
-}
-WaSums wa_sums(const float* __restrict px, std::size_t n, float lo, float hi,
-               float inv_gamma, float* __restrict s_out,
-               float* __restrict u_out) {
-  WaSums t;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float p = px[i];
-    const double s = std::exp((p - hi) * inv_gamma);
-    const double u = std::exp((lo - p) * inv_gamma);
-    t.sum_e_max += s;
-    t.sum_xe_max += p * s;
-    t.sum_e_min += u;
-    t.sum_xe_min += p * u;
-    s_out[i] = static_cast<float>(s);
-    u_out[i] = static_cast<float>(u);
+  const double wl_max = xe_max / e_max, wl_min = xe_min / e_min;
+  if (gout != nullptr) {
+    const double i_max = 1.0 / e_max, i_min = 1.0 / e_min;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d_max = s[i] * (1.0 + (p[i] - wl_max) * ig) * i_max;
+      const double d_min = u[i] * (1.0 - (p[i] - wl_min) * ig) * i_min;
+      gout[i * stride] = w * static_cast<float>(d_max - d_min);
+    }
   }
-  return t;
+  return wl_max - wl_min;
 }
-void wa_grad(const float* __restrict px, const float* __restrict s,
-             const float* __restrict u, std::size_t n, float inv_gamma,
-             double wl_max, double wl_min, double inv_smax, double inv_smin,
-             float weight, float* __restrict d) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float p = px[i];
-    const double d_max = s[i] * (1.0 + (p - wl_max) * inv_gamma) * inv_smax;
-    const double d_min = u[i] * (1.0 - (p - wl_min) * inv_gamma) * inv_smin;
-    d[i] = weight * static_cast<float>(d_max - d_min);
+
+}  // namespace
+
+void wa_group(const WaGroup& g) {
+  const std::size_t n = g.degree, lanes = g.lanes;
+  float* const px = g.scratch;
+  float* const py = px + n;
+  float* const s = py + n;
+  float* const u = s + n;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    float min_x = std::numeric_limits<float>::max();
+    float max_x = std::numeric_limits<float>::lowest();
+    float min_y = min_x, max_y = max_x;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = i * lanes + l;
+      px[i] = g.x[g.cell[k]] + g.ox[k];
+      py[i] = g.y[g.cell[k]] + g.oy[k];
+      min_x = std::min(min_x, px[i]);
+      max_x = std::max(max_x, px[i]);
+      min_y = std::min(min_y, py[i]);
+      max_y = std::max(max_y, py[i]);
+    }
+    const float w = g.weight[l];
+    if (g.hpwl != nullptr) {
+      g.hpwl[l] = static_cast<double>(w) * ((max_x - min_x) + (max_y - min_y));
+    }
+    if (g.wl == nullptr && g.gx == nullptr) continue;
+    const bool grad = g.gx != nullptr;
+    const double wl_x = wa_axis(px, n, min_x, max_x, g.inv_gamma, s, u, w,
+                                grad ? g.gx + l : nullptr, lanes);
+    const double wl_y = wa_axis(py, n, min_y, max_y, g.inv_gamma, s, u, w,
+                                grad ? g.gy + l : nullptr, lanes);
+    if (g.wl != nullptr) g.wl[l] = static_cast<double>(w) * (wl_x + wl_y);
   }
 }
 
@@ -512,10 +531,7 @@ const Kernels& scalar_kernels() {
       .abs_max = scalar::abs_max,
       .finite_stats = scalar::finite_stats,
       .ddot = scalar::ddot,
-      .gather_pin_pos = scalar::gather_pin_pos,
-      .minmax = scalar::minmax,
-      .wa_sums = scalar::wa_sums,
-      .wa_grad = scalar::wa_grad,
+      .wa_group = scalar::wa_group,
       .density_scatter = scalar::density_scatter,
       .density_gather = scalar::density_gather,
       .fft_pass = scalar::fft_pass,

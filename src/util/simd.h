@@ -23,7 +23,7 @@
 //     bitwise-equal to scalar (no FMA contraction in them — verified by
 //     tests/test_simd.cpp), while exp-based and reduction kernels agree
 //     within documented tolerances (vectorized exp: ≤2 ULP of expf on the WA
-//     input range (-87.3, 0]).
+//     input range (-87.3, 0], +0 at and below its lower clamp).
 //
 // The table composes under the ThreadPool: `*_mt` kernels partition work
 // across workers and each chunk runs vector lanes internally.
@@ -45,11 +45,19 @@ namespace xplace::simd {
 /// `exec.simd.isa` gauge): 0 = scalar, 2 = AVX2+FMA.
 enum class Isa : int { kScalar = 0, kAvx2 = 2 };
 
-/// Stable WA exp-sum quad for one net/direction (matches ops::detail::WaTerms
-/// member-for-member; kept separate so util does not depend on ops).
-struct WaSums {
-  double sum_e_max = 0.0, sum_xe_max = 0.0;  // Σs, Σx·s, s = exp((x-max)/γ)
-  double sum_e_min = 0.0, sum_xe_min = 0.0;  // Σu, Σx·u, u = exp((min-x)/γ)
+/// One group of the net-lane WA layout (ops/netlist_view.h, DESIGN.md §18):
+/// `lanes` nets (8, or 1 for a net above the degree cap) of `degree` pins
+/// each; pin i of lane l sits at slot i·lanes + l of cell/ox/oy/gx/gy.
+struct WaGroup {
+  const float *x, *y;         ///< cell centres
+  const std::uint32_t* cell;  ///< slot → cell
+  const float *ox, *oy;       ///< slot → pin offset from the cell centre
+  const float* weight;        ///< lane → net weight
+  std::size_t degree, lanes;
+  float inv_gamma;
+  float* scratch;             ///< 4·degree·lanes floats
+  double *hpwl, *wl;          ///< lane → w·HPWL, w·(WL_x + WL_y)
+  float *gx, *gy;             ///< slot → weighted WA gradient
 };
 
 /// A cell's cached density footprint (ops/density.h): first bin bx0·m + by0,
@@ -168,21 +176,13 @@ struct Kernels {
   /// the Poisson potential-energy reduce.
   double (*ddot)(const double* a, const double* b, std::size_t n);
 
-  // ---- WA wirelength primitives (per net/direction) ----
-  /// px[i] = pos[cell[i]] + off[i] (the per-pin position gather).
-  void (*gather_pin_pos)(const float* pos, const std::uint32_t* cell,
-                         const float* off, float* px, std::size_t n);
-  void (*minmax)(const float* px, std::size_t n, float* lo, float* hi);
-  /// The four stable-form WA sums over a gathered pin-position buffer; also
-  /// stores the per-pin exp terms s_i, u_i for reuse by wa_grad.
-  WaSums (*wa_sums)(const float* px, std::size_t n, float lo, float hi,
-                    float inv_gamma, float* s_out, float* u_out);
-  /// d[i] = weight·(s_i(1+(px_i-wl_max)/γ)/Σs − u_i(1−(px_i-wl_min)/γ)/Σu):
-  /// the per-pin WA gradient values; the caller scatters d into grad[cell]
-  /// (duplicate cells per net make the scatter inherently serial).
-  void (*wa_grad)(const float* px, const float* s, const float* u,
-                  std::size_t n, float inv_gamma, double wl_max, double wl_min,
-                  double inv_smax, double inv_smin, float weight, float* d);
+  // ---- WA wirelength (one net-lane group) ----
+  /// Per lane, pins in order: the extents, hpwl[l], wl[l] and the per-slot
+  /// stable-form gradient (ops/wirelength.h), each skipped when its output
+  /// is null; no exp runs when wl and gx are both null. Every lane is
+  /// bitwise this backend's per-net loop: scalar sums std::exp terms and
+  /// their double products, AVX2 sums exp256 terms and their float products.
+  void (*wa_group)(const WaGroup& g);
 
   // ---- density footprints (f64 maps, map[bx·m + by]) ----
   /// map[b] += overlap(c, b)·scale[c]/A_b per cell, storing its footprint.

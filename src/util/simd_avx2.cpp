@@ -12,7 +12,8 @@
 //   * reductions accumulate per-lane and fold lanes in one fixed order —
 //     deterministic run-to-run, different rounding than scalar (documented),
 //   * exp is a Cephes-style degree-5 polynomial on floats (≤2 ULP of expf on
-//     the WA input range (-87.3, 0]; arguments are clamped to ±87.3/88.7),
+//     the WA input range (-87.3, 0]; arguments above 88.7 are clamped, and
+//     arguments at or below -87.3 give +0, never a subnormal),
 //   * tails are handled with AVX2 masked loads/stores (no out-of-bounds
 //     touches — the ASan lane runs the parity sweep over head/tail sizes).
 #include "util/simd.h"
@@ -68,8 +69,11 @@ XP_TGT inline __m256d hi_pd(__m256 v) {
 }
 
 /// Cephes-style vector expf (degree-5 minimax on the reduced range, exact
-/// power-of-two scaling). Inputs are clamped to [-87.336, 88.722]; on the WA
-/// range (-87.3, 0] the result is within 2 ULP of std::expf.
+/// power-of-two scaling). On the WA range (-87.3, 0] the result is within
+/// 2 ULP of std::expf; inputs above 88.722 are clamped. Inputs at or below
+/// -87.336 (where expf turns subnormal) give +0, never a subnormal: those
+/// lanes run the polynomial on 0 and are masked after it, so no subnormal
+/// reaches the FPU here or in the multiplies that read the result.
 XP_TGT inline __m256 exp256(__m256 x) {
   const __m256 hi = _mm256_set1_ps(88.72283935546875f);
   const __m256 lo = _mm256_set1_ps(-87.33654785156250f);
@@ -78,7 +82,8 @@ XP_TGT inline __m256 exp256(__m256 x) {
   const __m256 c2 = _mm256_set1_ps(-2.12194440e-4f);
   const __m256 one = _mm256_set1_ps(1.0f);
 
-  x = _mm256_max_ps(_mm256_min_ps(x, hi), lo);
+  const __m256 under = _mm256_cmp_ps(x, lo, _CMP_LE_OQ);
+  x = _mm256_andnot_ps(under, _mm256_min_ps(x, hi));
   __m256 fx =
       _mm256_floor_ps(_mm256_fmadd_ps(x, log2e, _mm256_set1_ps(0.5f)));
   // Cody–Waite reduction: r = x − fx·ln2 (split constant).
@@ -94,10 +99,10 @@ XP_TGT inline __m256 exp256(__m256 x) {
   y = _mm256_fmadd_ps(y, _mm256_mul_ps(x, x), x);
   y = _mm256_add_ps(y, one);
 
-  // 2^fx via exponent-field insertion (fx ∈ [-127, 128] after the clamp).
+  // 2^fx via exponent-field insertion (fx ∈ [-126, 128] after the clamp).
   const __m256i imm = _mm256_slli_epi32(
       _mm256_add_epi32(_mm256_cvtps_epi32(fx), _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(imm));
+  return _mm256_andnot_ps(under, _mm256_mul_ps(y, _mm256_castsi256_ps(imm)));
 }
 
 }  // namespace
@@ -462,156 +467,154 @@ XP_TGT double ddot(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-// ---- WA wirelength primitives ----------------------------------------------
+// ---- WA net-lane groups ----------------------------------------------------
 
-XP_TGT void gather_pin_pos(const float* pos, const std::uint32_t* cell,
-                           const float* off, float* px, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(cell + i));
-    const __m256 p = _mm256_i32gather_ps(pos, idx, 4);
-    _mm256_storeu_ps(px + i, _mm256_add_ps(p, _mm256_loadu_ps(off + i)));
-  }
-  if (i < n) {
-    const __m256i m = mask8(n - i);
-    const __m256i idx = _mm256_maskload_epi32(
-        reinterpret_cast<const int*>(cell + i), m);
-    // Faults on masked-off lanes are architecturally suppressed.
-    const __m256 p = _mm256_mask_i32gather_ps(
-        _mm256_setzero_ps(), pos, idx, _mm256_castsi256_ps(m), 4);
-    _mm256_maskstore_ps(
-        px + i, m, _mm256_add_ps(p, _mm256_maskload_ps(off + i, m)));
-  }
-}
+namespace {
 
-XP_TGT void minmax(const float* px, std::size_t n, float* lo, float* hi) {
-  __m256 vmin = _mm256_set1_ps(std::numeric_limits<float>::max());
-  __m256 vmax = _mm256_set1_ps(std::numeric_limits<float>::lowest());
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(px + i);
-    vmin = _mm256_min_ps(vmin, v);
-    vmax = _mm256_max_ps(vmax, v);
+// Slot access for a group of W nets: eight side by side, or one net above the
+// degree cap broadcast across the register (every lane computes that net and
+// lane 0 is stored). Lanes never mix, so a lane is its net's per-net loop.
+template <std::size_t W>
+struct WaLanes {
+  XP_TGT static __m256 load(const float* p) {
+    if constexpr (W == 8) return _mm256_loadu_ps(p);
+    return _mm256_set1_ps(*p);
   }
-  if (i < n) {
-    const __m256i m = mask8(n - i);
-    const __m256 mp = _mm256_castsi256_ps(m);
-    const __m256 v = _mm256_maskload_ps(px + i, m);
-    vmin = _mm256_min_ps(
-        vmin, _mm256_blendv_ps(
-                  _mm256_set1_ps(std::numeric_limits<float>::max()), v, mp));
-    vmax = _mm256_max_ps(
-        vmax,
-        _mm256_blendv_ps(_mm256_set1_ps(std::numeric_limits<float>::lowest()),
-                         v, mp));
-  }
-  alignas(32) float lmin[8], lmax[8];
-  _mm256_store_ps(lmin, vmin);
-  _mm256_store_ps(lmax, vmax);
-  float mn = lmin[0], mx = lmax[0];
-  for (int l = 1; l < 8; ++l) {
-    mn = lmin[l] < mn ? lmin[l] : mn;
-    mx = lmax[l] > mx ? lmax[l] : mx;
-  }
-  *lo = mn;
-  *hi = mx;
-}
-
-XP_TGT WaSums wa_sums(const float* px, std::size_t n, float lo, float hi,
-                      float inv_gamma, float* s_out, float* u_out) {
-  const __m256 vhi = _mm256_set1_ps(hi);
-  const __m256 vlo = _mm256_set1_ps(lo);
-  const __m256 vig = _mm256_set1_ps(inv_gamma);
-  __m256d e_max = _mm256_setzero_pd(), xe_max = _mm256_setzero_pd();
-  __m256d e_min = _mm256_setzero_pd(), xe_min = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i < n; i += 8) {
-    const std::size_t rem = n - i;
-    __m256 p, s, u;
-    if (rem >= 8) {
-      p = _mm256_loadu_ps(px + i);
-      s = exp256(_mm256_mul_ps(_mm256_sub_ps(p, vhi), vig));
-      u = exp256(_mm256_mul_ps(_mm256_sub_ps(vlo, p), vig));
-      _mm256_storeu_ps(s_out + i, s);
-      _mm256_storeu_ps(u_out + i, u);
+  XP_TGT static void store(float* p, __m256 v) {
+    if constexpr (W == 8) {
+      _mm256_storeu_ps(p, v);
     } else {
-      const __m256i m = mask8(rem);
-      const __m256 mp = _mm256_castsi256_ps(m);
-      p = _mm256_maskload_ps(px + i, m);
-      s = exp256(_mm256_mul_ps(_mm256_sub_ps(p, vhi), vig));
-      u = exp256(_mm256_mul_ps(_mm256_sub_ps(vlo, p), vig));
-      // Dead lanes contribute 0 to every accumulator.
-      s = _mm256_and_ps(s, mp);
-      u = _mm256_and_ps(u, mp);
-      _mm256_maskstore_ps(s_out + i, m, s);
-      _mm256_maskstore_ps(u_out + i, m, u);
+      _mm_store_ss(p, _mm256_castps256_ps128(v));
     }
-    const __m256d p0 = lo_pd(p), p1 = hi_pd(p);
-    const __m256d s0 = lo_pd(s), s1 = hi_pd(s);
-    const __m256d u0 = lo_pd(u), u1 = hi_pd(u);
-    e_max = _mm256_add_pd(e_max, _mm256_add_pd(s0, s1));
-    xe_max = _mm256_fmadd_pd(p0, s0, _mm256_fmadd_pd(p1, s1, xe_max));
-    e_min = _mm256_add_pd(e_min, _mm256_add_pd(u0, u1));
-    xe_min = _mm256_fmadd_pd(p0, u0, _mm256_fmadd_pd(p1, u1, xe_min));
   }
-  WaSums t;
-  t.sum_e_max = hsum4(e_max);
-  t.sum_xe_max = hsum4(xe_max);
-  t.sum_e_min = hsum4(e_min);
-  t.sum_xe_min = hsum4(xe_min);
-  return t;
+  XP_TGT static __m256 gather(const float* pos, const std::uint32_t* cell) {
+    if constexpr (W == 8) {
+      return _mm256_i32gather_ps(
+          pos, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cell)), 4);
+    }
+    return _mm256_set1_ps(pos[*cell]);
+  }
+};
+
+/// Eight doubles, one per lane (the widened f32 lanes lo | hi).
+struct D8 {
+  __m256d lo, hi;
+};
+XP_TGT inline D8 widen(__m256 v) { return {lo_pd(v), hi_pd(v)}; }
+XP_TGT inline D8 splat(double v) {
+  return {_mm256_set1_pd(v), _mm256_set1_pd(v)};
+}
+XP_TGT inline D8 operator+(D8 a, D8 b) {
+  return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+}
+XP_TGT inline D8 operator-(D8 a, D8 b) {
+  return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
+}
+XP_TGT inline D8 operator*(D8 a, D8 b) {
+  return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
+}
+XP_TGT inline D8 operator/(D8 a, D8 b) {
+  return {_mm256_div_pd(a.lo, b.lo), _mm256_div_pd(a.hi, b.hi)};
+}
+XP_TGT inline __m256 narrow(D8 a) {
+  return _mm256_set_m128(_mm256_cvtpd_ps(a.hi), _mm256_cvtpd_ps(a.lo));
+}
+template <std::size_t W>
+XP_TGT inline void store_lanes(double* p, D8 v) {
+  if constexpr (W == 8) {
+    _mm256_storeu_pd(p, v.lo);
+    _mm256_storeu_pd(p + 4, v.hi);
+  } else {
+    _mm_store_sd(p, _mm256_castpd256_pd128(v.lo));
+  }
 }
 
-XP_TGT void wa_grad(const float* px, const float* s, const float* u,
-                    std::size_t n, float inv_gamma, double wl_max,
-                    double wl_min, double inv_smax, double inv_smin,
-                    float weight, float* d) {
-  const __m256d vig = _mm256_set1_pd(static_cast<double>(inv_gamma));
-  const __m256d vwl_max = _mm256_set1_pd(wl_max);
-  const __m256d vwl_min = _mm256_set1_pd(wl_min);
-  const __m256d vismax = _mm256_set1_pd(inv_smax);
-  const __m256d vismin = _mm256_set1_pd(inv_smin);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256 vw = _mm256_set1_ps(weight);
-  for (std::size_t i = 0; i < n; i += 8) {
-    const std::size_t rem = n - i;
-    const bool full = rem >= 8;
-    const __m256i m = full ? _mm256_setzero_si256() : mask8(rem);
-    const __m256 p = full ? _mm256_loadu_ps(px + i)
-                          : _mm256_maskload_ps(px + i, m);
-    const __m256 vs = full ? _mm256_loadu_ps(s + i)
-                           : _mm256_maskload_ps(s + i, m);
-    const __m256 vu = full ? _mm256_loadu_ps(u + i)
-                           : _mm256_maskload_ps(u + i, m);
-    __m256 out;
-    {
-      const __m256d p0 = lo_pd(p), p1 = hi_pd(p);
-      const __m256d dmax0 = _mm256_mul_pd(
-          _mm256_mul_pd(lo_pd(vs),
-                        _mm256_fmadd_pd(_mm256_sub_pd(p0, vwl_max), vig, one)),
-          vismax);
-      const __m256d dmax1 = _mm256_mul_pd(
-          _mm256_mul_pd(hi_pd(vs),
-                        _mm256_fmadd_pd(_mm256_sub_pd(p1, vwl_max), vig, one)),
-          vismax);
-      const __m256d dmin0 = _mm256_mul_pd(
-          _mm256_mul_pd(lo_pd(vu),
-                        _mm256_fnmadd_pd(_mm256_sub_pd(p0, vwl_min), vig, one)),
-          vismin);
-      const __m256d dmin1 = _mm256_mul_pd(
-          _mm256_mul_pd(hi_pd(vu),
-                        _mm256_fnmadd_pd(_mm256_sub_pd(p1, vwl_min), vig, one)),
-          vismin);
-      const __m128 f0 = _mm256_cvtpd_ps(_mm256_sub_pd(dmax0, dmin0));
-      const __m128 f1 = _mm256_cvtpd_ps(_mm256_sub_pd(dmax1, dmin1));
-      out = _mm256_mul_ps(vw, _mm256_set_m128(f1, f0));
+// One axis of a group over gathered positions p: the stable WA sums in pin
+// order (exp256 terms, their float products, double sums — the historical
+// vector path), the weighted gradient into gout when non-null, and WL.
+// Inlined: GCC returns a D8 from a call with the upper ymm state dirty and
+// then skips the vzeroupper on the caller's way out, so every SSE
+// instruction after the kernel would pay the AVX–SSE transition penalty.
+template <std::size_t W>
+[[gnu::always_inline]] XP_TGT inline D8 wa_axis(const float* p, std::size_t n,
+                                                __m256 lo, __m256 hi,
+                                                __m256 ig, __m256 w, float* s,
+                                                float* u, float* gout) {
+  using L = WaLanes<W>;
+  const D8 zero = splat(0.0);
+  D8 e_max = zero, xe_max = zero, e_min = zero, xe_min = zero;
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m256 v = L::load(p + i * W);
+    const __m256 sv = exp256(_mm256_mul_ps(_mm256_sub_ps(v, hi), ig));
+    const __m256 uv = exp256(_mm256_mul_ps(_mm256_sub_ps(lo, v), ig));
+    L::store(s + i * W, sv);
+    L::store(u + i * W, uv);
+    e_max = e_max + widen(sv);
+    xe_max = xe_max + widen(_mm256_mul_ps(v, sv));
+    e_min = e_min + widen(uv);
+    xe_min = xe_min + widen(_mm256_mul_ps(v, uv));
+  }
+  const D8 wl_max = xe_max / e_max, wl_min = xe_min / e_min;
+  if (gout != nullptr) {
+    const D8 one = splat(1.0), igd = widen(ig);
+    const D8 i_max = one / e_max, i_min = one / e_min;
+    for (std::size_t i = 0; i < n; ++i) {
+      const D8 v = widen(L::load(p + i * W));
+      const D8 d_max = widen(L::load(s + i * W)) *
+                       (one + (v - wl_max) * igd) * i_max;
+      const D8 d_min = widen(L::load(u + i * W)) *
+                       (one - (v - wl_min) * igd) * i_min;
+      L::store(gout + i * W, _mm256_mul_ps(w, narrow(d_max - d_min)));
     }
-    if (full) {
-      _mm256_storeu_ps(d + i, out);
-    } else {
-      _mm256_maskstore_ps(d + i, m, out);
-    }
+  }
+  return wl_max - wl_min;
+}
+
+template <std::size_t W>
+XP_TGT void wa_lanes(const WaGroup& g) {
+  using L = WaLanes<W>;
+  const std::size_t n = g.degree;
+  float* const px = g.scratch;
+  float* const py = px + n * W;
+  float* const s = py + n * W;
+  float* const u = s + n * W;
+  // std::min(acc, v) is min_ps(v, acc), std::max(acc, v) is max_ps(v, acc).
+  __m256 min_x = _mm256_set1_ps(std::numeric_limits<float>::max());
+  __m256 max_x = _mm256_set1_ps(std::numeric_limits<float>::lowest());
+  __m256 min_y = min_x, max_y = max_x;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = i * W;
+    const __m256 vx =
+        _mm256_add_ps(L::gather(g.x, g.cell + k), L::load(g.ox + k));
+    const __m256 vy =
+        _mm256_add_ps(L::gather(g.y, g.cell + k), L::load(g.oy + k));
+    L::store(px + k, vx);
+    L::store(py + k, vy);
+    min_x = _mm256_min_ps(vx, min_x);
+    max_x = _mm256_max_ps(vx, max_x);
+    min_y = _mm256_min_ps(vy, min_y);
+    max_y = _mm256_max_ps(vy, max_y);
+  }
+  const __m256 w = L::load(g.weight);
+  if (g.hpwl != nullptr) {
+    const __m256 ext = _mm256_add_ps(_mm256_sub_ps(max_x, min_x),
+                                     _mm256_sub_ps(max_y, min_y));
+    store_lanes<W>(g.hpwl, widen(w) * widen(ext));
+  }
+  if (g.wl == nullptr && g.gx == nullptr) return;
+  const __m256 ig = _mm256_set1_ps(g.inv_gamma);
+  const D8 wl_x = wa_axis<W>(px, n, min_x, max_x, ig, w, s, u, g.gx);
+  const D8 wl_y = wa_axis<W>(py, n, min_y, max_y, ig, w, s, u, g.gy);
+  if (g.wl != nullptr) store_lanes<W>(g.wl, widen(w) * (wl_x + wl_y));
+}
+
+}  // namespace
+
+XP_TGT void wa_group(const WaGroup& g) {
+  if (g.lanes == 8) {
+    wa_lanes<8>(g);
+  } else {
+    wa_lanes<1>(g);
   }
 }
 
@@ -1170,10 +1173,7 @@ const Kernels* avx2_kernels_or_null() {
       .abs_max = avx2::abs_max,
       .finite_stats = avx2::finite_stats,
       .ddot = avx2::ddot,
-      .gather_pin_pos = avx2::gather_pin_pos,
-      .minmax = avx2::minmax,
-      .wa_sums = avx2::wa_sums,
-      .wa_grad = avx2::wa_grad,
+      .wa_group = avx2::wa_group,
       .density_scatter = avx2::density_scatter,
       .density_gather = avx2::density_gather,
       .fft_pass = avx2::fft_pass,

@@ -361,14 +361,16 @@ TEST_P(DensityFootprint, MapsAndGradientsMatchRecordedBits) {
 
 TEST_P(DensityFootprint, GlobalPlaceHpwlMatchesRecordedValue) {
   // GP HPWL of a small generator design, recorded from the kernels before
-  // the footprint cache existed: the cache must not move a single bit.
+  // the footprint cache existed: the cache must not move a single bit. The
+  // 3-thread row was re-recorded when the pooled WA kernel became bitwise
+  // the serial one; it now equals the 1-thread row.
   struct Case {
     int fences, threads;
     double scalar_hpwl, avx2_hpwl;
   };
   const Case cases[] = {
       {0, 1, 71294.939258809973, 71294.946705099035},
-      {0, 3, 71294.949886556555, 71294.949947591711},
+      {0, 3, 71294.939258809973, 71294.946705099035},
       {2, 1, 94700.343352654818, 94700.318757394198},
   };
   for (const Case& k : cases) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -13,6 +14,7 @@
 #include "ops/parallel.h"
 #include "route/congestion.h"
 #include "route/inflation.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace xplace {
@@ -43,30 +45,95 @@ void get_positions(const db::Database& db, std::vector<float>& x,
 
 class ParallelKernels : public ::testing::TestWithParam<int> {};
 
+/// The backends this CPU runs, each selected in turn by `fn`, then restored.
+template <typename Fn>
+void for_each_backend(Fn&& fn) {
+  const simd::Isa saved = simd::isa();
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    if (isa == simd::Isa::kAvx2 && !simd::cpu_has_avx2()) continue;
+    simd::select(isa);
+    SCOPED_TRACE(simd::isa_name(isa));
+    fn(isa);
+  }
+  simd::select(saved);
+}
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 1469598103934665603ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+/// Hash of a WA result: the two sums, then the x and y gradients.
+std::uint64_t wa_hash(double wa, double hpwl, const std::vector<float>& gx,
+                      const std::vector<float>& gy) {
+  std::uint64_t h = fnv1a(&wa, sizeof wa);
+  h = fnv1a(&hpwl, sizeof hpwl, h);
+  h = fnv1a(gx.data(), gx.size() * sizeof(float), h);
+  return fnv1a(gy.data(), gy.size() * sizeof(float), h);
+}
+
 TEST_P(ParallelKernels, FusedWirelengthMatchesSerial) {
+  // The pooled kernel is the serial one with its groups and cells split
+  // across workers: the same bits at every pool size.
   const int threads = GetParam();
   db::Database db = make_db();
   const ops::NetlistView view = ops::build_netlist_view(db);
   std::vector<float> x, y;
   get_positions(db, x, y);
-
-  std::vector<float> gx_s(db.num_cells_total(), 0.0f), gy_s(db.num_cells_total(), 0.0f);
-  const ops::WirelengthSums serial =
-      ops::fused_wl_grad_hpwl(view, x.data(), y.data(), 6.0f, gx_s.data(), gy_s.data());
-
   ThreadPool pool(threads);
-  std::vector<float> gx_p(db.num_cells_total(), 0.0f), gy_p(db.num_cells_total(), 0.0f);
-  const ops::WirelengthSums par = ops::fused_wl_grad_hpwl_mt(
-      view, x.data(), y.data(), 6.0f, gx_p.data(), gy_p.data(), pool);
+  for_each_backend([&](simd::Isa) {
+    std::vector<float> gx_s(db.num_cells_total(), 0.0f),
+        gy_s(db.num_cells_total(), 0.0f);
+    const ops::WirelengthSums serial = ops::fused_wl_grad_hpwl(
+        view, x.data(), y.data(), 6.0f, gx_s.data(), gy_s.data());
+    std::vector<float> gx_p(db.num_cells_total(), 0.0f),
+        gy_p(db.num_cells_total(), 0.0f);
+    const ops::WirelengthSums par = ops::fused_wl_grad_hpwl_mt(
+        view, x.data(), y.data(), 6.0f, gx_p.data(), gy_p.data(), pool);
+    EXPECT_EQ(par.wa, serial.wa);
+    EXPECT_EQ(par.hpwl, serial.hpwl);
+    EXPECT_EQ(0, std::memcmp(gx_p.data(), gx_s.data(), gx_s.size() * 4));
+    EXPECT_EQ(0, std::memcmp(gy_p.data(), gy_s.data(), gy_s.size() * 4));
+  });
+}
 
-  EXPECT_NEAR(par.wa, serial.wa, 1e-6 * std::fabs(serial.wa));
-  EXPECT_NEAR(par.hpwl, serial.hpwl, 1e-6 * serial.hpwl);
-  float max_g = 0.0f;
-  for (float g : gx_s) max_g = std::max(max_g, std::fabs(g));
-  for (std::size_t c = 0; c < view.num_cells; ++c) {
-    EXPECT_NEAR(gx_p[c], gx_s[c], 1e-4f * max_g + 1e-6f) << c;
-    EXPECT_NEAR(gy_p[c], gy_s[c], 1e-4f * max_g + 1e-6f) << c;
-  }
+TEST(ParallelKernels, FusedWirelengthMatchesRecordedBits) {
+  // 1-thread hashes of the fused kernel recorded before the net-lane layout
+  // (the per-net loops); the separate WA/gradient/HPWL kernels must give
+  // the same bits. At γ = 2 some pins' exp arguments pass the AVX2 clamp:
+  // that row was recorded once the clamp returned +0 instead of a subnormal
+  // (it moves 24 gradient entries of magnitude ≤ 1e-28; γ = 6 has no such
+  // argument and keeps its older bits).
+  struct Case {
+    float gamma;
+    std::uint64_t scalar, avx2;
+  };
+  const Case cases[] = {{6.0f, 0xf0e8b61565cb9248ull, 0x3a387f83fd1a4a56ull},
+                        {2.0f, 0x6d1323a92c5345e6ull, 0xcb22263d4eff8c67ull}};
+  db::Database db = make_db();
+  const ops::NetlistView view = ops::build_netlist_view(db);
+  std::vector<float> x, y;
+  get_positions(db, x, y);
+  for_each_backend([&](simd::Isa isa) {
+    for (const Case& k : cases) {
+      SCOPED_TRACE(k.gamma);
+      const std::uint64_t want =
+          isa == simd::Isa::kAvx2 ? k.avx2 : k.scalar;
+      std::vector<float> gx(x.size(), 0.0f), gy(x.size(), 0.0f);
+      const ops::WirelengthSums f = ops::fused_wl_grad_hpwl(
+          view, x.data(), y.data(), k.gamma, gx.data(), gy.data());
+      EXPECT_EQ(wa_hash(f.wa, f.hpwl, gx, gy), want);
+      std::fill(gx.begin(), gx.end(), 0.0f);
+      std::fill(gy.begin(), gy.end(), 0.0f);
+      const double wa = ops::wa_wirelength(view, x.data(), y.data(), k.gamma);
+      ops::wa_gradient(view, x.data(), y.data(), k.gamma, gx.data(),
+                       gy.data());
+      EXPECT_EQ(wa_hash(wa, ops::hpwl(view, x.data(), y.data()), gx, gy),
+                want);
+    }
+  });
 }
 
 TEST_P(ParallelKernels, DensityScatterMatchesSerial) {
@@ -115,7 +182,8 @@ TEST_P(ParallelKernels, GatherMatchesSerial) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelKernels, ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelKernels,
+                         ::testing::Values(1, 2, 3, 4));
 
 TEST(ParallelKernels, DeterministicForFixedPoolSize) {
   db::Database db = make_db();
