@@ -7,7 +7,10 @@
 #   tier1-mt    same build, full ctest suite with XPLACE_THREADS=4 so every
 #               module that consults the execution backend runs on the
 #               threadpool — launch counts, numerics contracts, and recovery
-#               logic must hold on both backends
+#               logic must hold on both backends; then the place_bookshelf
+#               demo at --threads 1 and 4 must write byte-identical .pl files
+#               (a mismatch points at the GP density scatter's per-worker
+#               reduction, the one kernel whose bits depend on the pool size)
 #   tier1-scalar same build, full ctest suite with XPLACE_SIMD=scalar so the
 #               whole flow runs on the scalar kernel table — the bitwise
 #               determinism baseline must pass independent of host CPU
@@ -72,6 +75,14 @@ run_tier1() {
 run_tier1_mt() {
   build build-ci
   XPLACE_THREADS=4 ctest --test-dir build-ci --output-on-failure -j "$jobs"
+
+  echo "=== tier1-mt lane: demo flow at --threads 1 vs 4 ==="
+  local a="/tmp/xplace_ci_mt_$$.t1.pl" b="/tmp/xplace_ci_mt_$$.t4.pl"
+  ./build-ci/examples/place_bookshelf --demo --threads 1 --out "$a" >/dev/null
+  ./build-ci/examples/place_bookshelf --demo --threads 4 --out "$b" >/dev/null
+  cmp "$a" "$b" \
+      || { echo "placement differs between --threads 1 and 4" >&2; return 1; }
+  rm -f "$a" "$b"
 }
 
 run_tier1_scalar() {
@@ -517,8 +528,8 @@ run_tsan() {
   build build-tsan-ci -DXPLACE_SANITIZE=thread
   ctest --test-dir build-tsan-ci --output-on-failure -L concurrency
   # End-to-end flow under the threadpool backend: GP scatter/gather/WA
-  # partitions, pooled FFT passes, banded Abacus, and row-parallel reorder
-  # all race-checked in one run.
+  # partitions and pooled FFT passes race-checked in one run (LG and DP run
+  # on the calling thread).
   echo "=== tsan lane: place_bookshelf --threads 4 ==="
   ./build-tsan-ci/examples/place_bookshelf --demo --cells 2000 \
       --max-iters 300 --threads 4

@@ -23,11 +23,11 @@
 //                             uninterrupted run bit-for-bit
 //
 // Execution backend (see README "Threads"):
-//   --threads N               worker threads for GP/LG/DP kernels; 1 = the
-//                             serial backend (default when XPLACE_THREADS is
-//                             unset), N>1 = thread pool, -1 = all hardware
-//                             threads. Omitting the flag defers to
-//                             XPLACE_THREADS.
+//   --threads N               worker threads for the GP kernels (LG and DP
+//                             run serially); 1 = the serial backend (default
+//                             when XPLACE_THREADS is unset), N>1 = thread
+//                             pool, -1 = all hardware threads. Omitting the
+//                             flag defers to XPLACE_THREADS.
 //   --simd BACKEND            SIMD kernel backend: auto (default), avx2, or
 //                             scalar/off. Omitting the flag defers to
 //                             XPLACE_SIMD; the selection is printed and
@@ -158,12 +158,12 @@ int main(int argc, char** argv) {
     std::printf("flow stopped (%s) — skipping LG/DP\n",
                 core::to_string(gp.stop_reason));
   } else {
-    const lg::LegalizeStats lgs = lg::abacus_legalize(db, &exec);
+    const lg::LegalizeStats lgs = lg::abacus_legalize(db);
     std::printf("LG:  %s\n", lgs.summary().c_str());
 
     dp::DetailedPlaceConfig dcfg;
     dcfg.stop = timeout_s > 0 ? &stop : nullptr;
-    const dp::DetailedPlaceResult dps = dp::detailed_place(db, dcfg, &exec);
+    const dp::DetailedPlaceResult dps = dp::detailed_place(db, dcfg);
     std::printf("DP:  %s\n", dps.summary().c_str());
 
     const lg::LegalityReport rep = lg::check_legality(db);

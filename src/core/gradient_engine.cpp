@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ops/parallel.h"
 #include "ops/wirelength.h"
 #include "telemetry/trace.h"
 #include "tensor/dispatch.h"
@@ -123,15 +122,9 @@ void GradientEngine::wirelength_pass(const float* x, const float* y,
   }
 
   if (cfg_.op_reduction && cfg_.op_combination) {
-    // Backend switch: same fat kernel (and launch name) either way; the pool
-    // variant partitions nets across workers with slot-ordered reduction.
-    ThreadPool* pool = pool_or_null();
     const ops::WirelengthSums sums =
-        pool != nullptr
-            ? ops::fused_wl_grad_hpwl_mt(view_, x, y, gamma, wl_grad_x_.data(),
-                                         wl_grad_y_.data(), *pool)
-            : ops::fused_wl_grad_hpwl(view_, x, y, gamma, wl_grad_x_.data(),
-                                      wl_grad_y_.data());
+        ops::fused_wl_grad_hpwl(view_, x, y, gamma, wl_grad_x_.data(),
+                                wl_grad_y_.data(), pool_or_null());
     res.wa_wl = sums.wa;
     res.hpwl = sums.hpwl;
   } else if (cfg_.op_reduction) {
@@ -168,13 +161,8 @@ void GradientEngine::density_pass_fenced(const float* x, const float* y,
     const auto scatter = [&](const char* opname,
                              const std::vector<std::uint32_t>& cells) {
       ScopedTimer scatter_timer(phase_timers_, "gp.phase.scatter");
-      if (pool != nullptr) {
-        ops::accumulate_cells_mt(grid_, opname, x, y, cells, sys.map.data(),
-                                 /*clear=*/false, *pool);
-      } else {
-        grid_.accumulate_cells(opname, x, y, cells, sys.map.data(),
-                               /*clear=*/false);
-      }
+      grid_.accumulate_cells(opname, x, y, cells, sys.map.data(),
+                             /*clear=*/false, pool);
     };
     scatter("density.fence_movable", sys.movable);
     over_area += grid_.overflow_area(sys.map.data());
@@ -190,21 +178,12 @@ void GradientEngine::density_pass_fenced(const float* x, const float* y,
       guidance_->blend(sys.map.data(), grid_.m(), grid_.bin_w(), grid_.bin_h(),
                        omega, r_prev, ex, ey);
     }
-    if (pool != nullptr) {
-      ops::gather_field_cells_mt(grid_, "dgrad.fence_gather_movable", x, y,
-                                 sys.movable, ex.data(), ey.data(), -1.0f,
-                                 dgrad_x_.data(), dgrad_y_.data(), *pool);
-      ops::gather_field_cells_mt(grid_, "dgrad.fence_gather_filler", x, y,
-                                 sys.fillers, ex.data(), ey.data(), -1.0f,
-                                 dgrad_x_.data(), dgrad_y_.data(), *pool);
-    } else {
-      grid_.gather_field_cells("dgrad.fence_gather_movable", x, y, sys.movable,
-                               ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                               dgrad_y_.data());
-      grid_.gather_field_cells("dgrad.fence_gather_filler", x, y, sys.fillers,
-                               ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                               dgrad_y_.data());
-    }
+    grid_.gather_field_cells("dgrad.fence_gather_movable", x, y, sys.movable,
+                             ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
+                             dgrad_y_.data(), pool);
+    grid_.gather_field_cells("dgrad.fence_gather_filler", x, y, sys.fillers,
+                             ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
+                             dgrad_y_.data(), pool);
   }
   res.overflow = db_.total_movable_area() > 0.0
                      ? over_area / db_.total_movable_area()
@@ -225,12 +204,7 @@ void GradientEngine::density_pass(const float* x, const float* y,
 
   const auto scatter = [&](const char* opname, std::size_t begin,
                            std::size_t end, double* map) {
-    if (pool != nullptr) {
-      ops::accumulate_range_mt(grid_, opname, x, y, begin, end, map, true,
-                               *pool);
-    } else {
-      grid_.accumulate_range(opname, x, y, begin, end, map, true);
-    }
+    grid_.accumulate_range(opname, x, y, begin, end, map, true, pool);
   };
   {
     ScopedTimer scatter_timer(phase_timers_, "gp.phase.scatter");
@@ -283,20 +257,11 @@ void GradientEngine::density_pass(const float* x, const float* y,
   // Unweighted density gradient ∂U/∂x = −q·E; movable cells and fillers.
   XP_TRACE_SCOPE("gp.phase.field");
   ScopedTimer field_timer(phase_timers_, "gp.phase.field");
-  if (pool != nullptr) {
-    ops::gather_field_mt(grid_, "dgrad.gather_movable", x, y, 0, n_movable_,
-                         ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                         dgrad_y_.data(), *pool);
-    ops::gather_field_mt(grid_, "dgrad.gather_filler", x, y, n_physical_,
-                         n_total_, ex.data(), ey.data(), -1.0f,
-                         dgrad_x_.data(), dgrad_y_.data(), *pool);
-  } else {
-    grid_.gather_field("dgrad.gather_movable", x, y, 0, n_movable_, ex.data(),
-                       ey.data(), -1.0f, dgrad_x_.data(), dgrad_y_.data());
-    grid_.gather_field("dgrad.gather_filler", x, y, n_physical_, n_total_,
-                       ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
-                       dgrad_y_.data());
-  }
+  grid_.gather_field("dgrad.gather_movable", x, y, 0, n_movable_, ex.data(),
+                     ey.data(), -1.0f, dgrad_x_.data(), dgrad_y_.data(), pool);
+  grid_.gather_field("dgrad.gather_filler", x, y, n_physical_, n_total_,
+                     ex.data(), ey.data(), -1.0f, dgrad_x_.data(),
+                     dgrad_y_.data(), pool);
 }
 
 void GradientEngine::save_state(StateBlob& out) const {

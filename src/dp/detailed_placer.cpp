@@ -13,18 +13,21 @@
 namespace xplace::dp {
 
 std::string DetailedPlaceResult::summary() const {
-  char buf[256];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
-                "hpwl %.6g -> %.6g (%+.3f%%), %d rounds, %zu moves, %.3fs",
+                "hpwl %.6g -> %.6g (%+.3f%%), %d rounds, %zu moves, %.3fs "
+                "(swap %.3fs/%zu, ism %.3fs/%zu, reorder %.3fs/%zu)",
                 hpwl_before, hpwl_after,
                 hpwl_before > 0 ? (hpwl_after / hpwl_before - 1.0) * 100 : 0.0,
-                rounds, moves_accepted, seconds);
+                rounds, moves_accepted, seconds, global_swap.seconds,
+                global_swap.moves, ism.seconds, ism.moves,
+                local_reorder.seconds, local_reorder.moves);
   return buf;
 }
 
 DetailedPlaceResult detailed_place(db::Database& db,
                                    const DetailedPlaceConfig& cfg,
-                                   const ExecutionContext* exec) {
+                                   const ExecutionContext*) {
   XP_TRACE_SCOPE("dp.run");
   Stopwatch watch;
   DetailedPlaceResult result;
@@ -49,25 +52,26 @@ DetailedPlaceResult detailed_place(db::Database& db,
     return stopped;
   };
 
+  // Folds one pass's stats into the result and its kind's totals.
+  const auto record = [&](const char* name, int round, const PassStats& s,
+                          SubPassTotals& totals) {
+    result.moves_accepted += s.moves_accepted;
+    totals.moves += s.moves_accepted;
+    totals.seconds += s.seconds;
+    XP_DEBUG("dp round %d %s: %.6g -> %.6g (%zu moves)", round, name,
+             s.hpwl_before, s.hpwl_after, s.moves_accepted);
+  };
   double prev = result.hpwl_before;
   for (int round = 0; round < cfg.max_rounds && !should_stop(); ++round) {
     if (cfg.enable_global_swap) {
-      const PassStats s = global_swap_pass(db, radius);
-      result.moves_accepted += s.moves_accepted;
-      XP_DEBUG("dp round %d swap: %.6g -> %.6g (%zu moves)", round,
-               s.hpwl_before, s.hpwl_after, s.moves_accepted);
+      record("swap", round, global_swap_pass(db, radius), result.global_swap);
     }
     if (cfg.enable_ism && !should_stop()) {
-      const PassStats s = ism_pass(db, cfg.ism_max_set);
-      result.moves_accepted += s.moves_accepted;
-      XP_DEBUG("dp round %d ism: %.6g -> %.6g (%zu moves)", round,
-               s.hpwl_before, s.hpwl_after, s.moves_accepted);
+      record("ism", round, ism_pass(db, cfg.ism_max_set), result.ism);
     }
     if (cfg.enable_local_reorder && !should_stop()) {
-      const PassStats s = local_reorder_pass(db, cfg.reorder_window, exec);
-      result.moves_accepted += s.moves_accepted;
-      XP_DEBUG("dp round %d reorder: %.6g -> %.6g (%zu moves)", round,
-               s.hpwl_before, s.hpwl_after, s.moves_accepted);
+      record("reorder", round, local_reorder_pass(db, cfg.reorder_window),
+             result.local_reorder);
     }
     result.rounds = round + 1;
     const double cur = db.hpwl();

@@ -29,22 +29,29 @@ struct DetailedPlaceConfig {
   const StopToken* stop = nullptr;
 };
 
+/// Seconds and accepted moves of one kind of pass, summed over rounds.
+struct SubPassTotals {
+  double seconds = 0.0;
+  std::size_t moves = 0;
+};
+
 struct DetailedPlaceResult {
   double hpwl_before = 0.0;
   double hpwl_after = 0.0;
   int rounds = 0;
   std::size_t moves_accepted = 0;
   double seconds = 0.0;
+  SubPassTotals global_swap, ism, local_reorder;
 
   std::string summary() const;
 };
 
-/// Runs on a *legal* placement and preserves legality. A parallel `exec`
-/// fans the local-reorder pass across rows (see local_reorder.h for the
-/// determinism contract); global-swap and ISM stay serial — their move
-/// chains are inherently sequential.
+/// Runs on a *legal* placement and preserves legality. Every pass runs on
+/// the calling thread (their move chains are sequential), so the result does
+/// not depend on the thread count; the `ExecutionContext` parameter is
+/// ignored (the flow benchmark still passes one).
 DetailedPlaceResult detailed_place(db::Database& db,
                                    const DetailedPlaceConfig& cfg = {},
-                                   const ExecutionContext* exec = nullptr);
+                                   const ExecutionContext* = nullptr);
 
 }  // namespace xplace::dp

@@ -28,8 +28,8 @@ class HpwlEval {
 
   /// Same as cells_net_hpwl, but measured at the explicit position arrays
   /// `x`/`y` (indexed by cell id) instead of the database's current
-  /// positions. Lets the row-parallel reorder pass price candidate
-  /// permutations against a private snapshot without touching the database.
+  /// positions. Lets the local reorder pass price candidate permutations in
+  /// its own position arrays without touching the database.
   double cells_net_hpwl_at(const std::uint32_t* cells, std::size_t count,
                            const double* x, const double* y);
 

@@ -1,15 +1,12 @@
 #include "dp/local_reorder.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "dp/hpwl_eval.h"
 #include "lg/row_map.h"
 #include "telemetry/trace.h"
-#include "util/execution.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace xplace::dp {
@@ -33,8 +30,6 @@ std::vector<std::vector<std::uint32_t>> group_rows(const db::Database& db,
 /// One row's worth of sliding-window permutation search against the position
 /// array `x` (indexed by cell id; mutated in place for accepted moves). `y`
 /// supplies the fixed vertical coordinates. Returns accepted-move count.
-/// Shared by the serial and the row-parallel paths — the serial caller hands
-/// in views backed by the database so the behavior is the historical one.
 std::size_t reorder_row(const db::Database& db, const lg::RowMap& rows,
                         std::size_t row, std::vector<std::uint32_t>& cells,
                         int window, HpwlEval& eval, double* x,
@@ -111,7 +106,7 @@ std::size_t reorder_row(const db::Database& db, const lg::RowMap& rows,
 }  // namespace
 
 PassStats local_reorder_pass(db::Database& db, int window,
-                             const ExecutionContext* exec) {
+                             const ExecutionContext*) {
   XP_TRACE_SCOPE("dp.local_reorder");
   Stopwatch watch;
   PassStats stats;
@@ -120,99 +115,23 @@ PassStats local_reorder_pass(db::Database& db, int window,
   lg::RowMap rows(db);
   std::vector<std::vector<std::uint32_t>> per_row = group_rows(db, rows);
 
-  // Snapshot of all positions (pins may reference fixed cells too).
+  // Live position arrays (pins may reference fixed cells too): rows run in
+  // order, each committing its accepts to the database before the next.
   const std::size_t n_all = db.num_cells_total();
   std::vector<double> sx(n_all), sy(n_all);
   for (std::size_t c = 0; c < n_all; ++c) {
     sx[c] = db.x(c);
     sy[c] = db.y(c);
   }
-
-  ThreadPool* pool =
-      exec != nullptr && exec->parallel() ? exec->pool() : nullptr;
-  if (pool == nullptr) {
-    // Serial: rows in order, each row's accepts visible to the next
-    // (historical behavior — sx doubles as the live position array and is
-    // committed per row).
-    HpwlEval eval(db);
-    for (std::size_t row = 0; row < per_row.size(); ++row) {
-      stats.moves_accepted += reorder_row(db, rows, row, per_row[row], window,
-                                          eval, sx.data(), sy.data());
-      for (std::uint32_t cell : per_row[row]) {
-        db.set_position(cell, sx[cell], sy[cell]);
-      }
-    }
-    stats.hpwl_after = db.hpwl();
-    stats.seconds = watch.seconds();
-    return stats;
-  }
-
-  // Row-parallel: every row is priced against the pass-entry snapshot in a
-  // per-worker private position array (reset to the snapshot after each row,
-  // so one worker's rows never see another row's accepts), and the accepted
-  // positions are committed serially in row order below. The outcome depends
-  // only on the snapshot — deterministic for any worker count.
-  const std::size_t workers = pool->size();
-  std::vector<std::vector<double>> wx(workers);
-  std::vector<std::unique_ptr<HpwlEval>> wev(workers);
-  struct RowResult {
-    std::vector<std::pair<std::uint32_t, double>> moved;  // cell → final x
-    std::size_t accepted = 0;
-  };
-  std::vector<RowResult> results(per_row.size());
-  pool->parallel_for(
-      per_row.size(),
-      [&](std::size_t b, std::size_t e, std::size_t worker) {
-        if (wx[worker].empty()) {
-          wx[worker] = sx;  // lazy per-worker snapshot copy
-          wev[worker] = std::make_unique<HpwlEval>(db);
-        }
-        for (std::size_t row = b; row < e; ++row) {
-          RowResult& res = results[row];
-          res.accepted = reorder_row(db, rows, row, per_row[row], window,
-                                     *wev[worker], wx[worker].data(),
-                                     sy.data());
-          for (std::uint32_t cell : per_row[row]) {
-            if (wx[worker][cell] != sx[cell]) {
-              res.moved.emplace_back(cell, wx[worker][cell]);
-            }
-            wx[worker][cell] = sx[cell];  // reset for this worker's next row
-          }
-        }
-      },
-      /*grain=*/1);
-  for (std::size_t row = 0; row < results.size(); ++row) {
-    stats.moves_accepted += results[row].accepted;
-    for (const auto& [cell, newx] : results[row].moved) {
-      db.set_position(cell, newx, sy[cell]);
+  HpwlEval eval(db);
+  for (std::size_t row = 0; row < per_row.size(); ++row) {
+    stats.moves_accepted += reorder_row(db, rows, row, per_row[row], window,
+                                        eval, sx.data(), sy.data());
+    for (std::uint32_t cell : per_row[row]) {
+      db.set_position(cell, sx[cell], sy[cell]);
     }
   }
-
   stats.hpwl_after = db.hpwl();
-  // Each row was priced against the pass-entry snapshot, so two rows sharing
-  // a net can each win locally yet jointly regress once both commit. The
-  // serial pass is monotone non-increasing; guarantee the same here: if the
-  // joint commit regressed, undo it and redo the pass serially. The parallel
-  // outcome is snapshot-deterministic, so this fallback fires (or not)
-  // identically for every worker count.
-  if (stats.hpwl_after > stats.hpwl_before) {
-    for (const RowResult& res : results) {
-      for (const auto& mv : res.moved) {
-        db.set_position(mv.first, sx[mv.first], sy[mv.first]);
-      }
-    }
-    stats.moves_accepted = 0;
-    per_row = group_rows(db, rows);  // positions are back at the snapshot
-    HpwlEval eval(db);
-    for (std::size_t row = 0; row < per_row.size(); ++row) {
-      stats.moves_accepted += reorder_row(db, rows, row, per_row[row], window,
-                                          eval, sx.data(), sy.data());
-      for (std::uint32_t cell : per_row[row]) {
-        db.set_position(cell, sx[cell], sy[cell]);
-      }
-    }
-    stats.hpwl_after = db.hpwl();
-  }
   stats.seconds = watch.seconds();
   return stats;
 }

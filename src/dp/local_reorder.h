@@ -19,20 +19,12 @@ struct PassStats {
   double seconds = 0.0;
 };
 
-/// One sweep over all rows with the given window size (3 or 4 are typical).
-/// Returns accepted-move statistics; the database is updated in place.
-///
-/// With a parallel `exec`, rows fan out across the pool: every row is priced
-/// against a position snapshot taken at pass entry (window slides within a
-/// row still see that row's earlier accepts), and accepted positions are
-/// committed serially in row order afterwards. That makes the parallel pass
-/// deterministic for ANY worker count; it differs from the serial pass only
-/// through the snapshot semantics of nets spanning multiple rows. Snapshot
-/// pricing is not monotone (two rows sharing a net can jointly regress), so
-/// the pass re-checks HPWL after committing and falls back to a serial redo
-/// if it increased — hpwl_after <= hpwl_before always holds. Null (the
-/// default) is the historical serial path, bit for bit.
+/// One sweep over all rows in order with the given window size (3 or 4 are
+/// typical); each row sees the accepts of the rows before it. Returns
+/// accepted-move statistics; the database is updated in place. Runs on the
+/// calling thread; the `ExecutionContext` parameter is ignored (the flow
+/// benchmark still passes one).
 PassStats local_reorder_pass(db::Database& db, int window,
-                             const ExecutionContext* exec = nullptr);
+                             const ExecutionContext* = nullptr);
 
 }  // namespace xplace::dp

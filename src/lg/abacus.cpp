@@ -8,9 +8,7 @@
 
 #include "lg/row_map.h"
 #include "telemetry/trace.h"
-#include "util/execution.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace xplace::lg {
@@ -80,14 +78,11 @@ double place_row(SegmentState& st, std::uint32_t cell, double target_lx,
 
 }  // namespace
 
-LegalizeStats abacus_legalize(db::Database& db, const ExecutionContext* exec,
-                              std::size_t min_band_clusters) {
+LegalizeStats abacus_legalize(db::Database& db, const ExecutionContext*) {
   XP_TRACE_SCOPE("lg.abacus");
   Stopwatch watch;
   LegalizeStats stats;
   stats.hpwl_before = db.hpwl();
-  ThreadPool* pool =
-      exec != nullptr && exec->parallel() ? exec->pool() : nullptr;
 
   RowMap rows(db);
   std::vector<std::vector<SegmentState>> state(rows.num_rows());
@@ -106,15 +101,7 @@ LegalizeStats abacus_legalize(db::Database& db, const ExecutionContext* exec,
   });
 
   const double row_h = rows.row_height();
-  // Trial scratch: one cluster-list copy per worker so band candidates can be
-  // evaluated concurrently (index 0 doubles as the serial scratch).
-  std::vector<std::vector<Cluster>> scratch(pool != nullptr ? pool->size() : 1);
-  struct Candidate {
-    SegmentState* st;
-    double dy2;
-  };
-  std::vector<Candidate> band;
-  std::vector<double> band_cost;
+  std::vector<Cluster> scratch;  // trial copy of a segment's clusters
   for (std::uint32_t cell : order) {
     const double w = db.width(cell);
     const double tx = db.x(cell) - w * 0.5;
@@ -124,20 +111,13 @@ LegalizeStats abacus_legalize(db::Database& db, const ExecutionContext* exec,
     double best_cost = std::numeric_limits<double>::max();
     SegmentState* best_seg = nullptr;
 
-    // Candidate rows by distance band d = |r − center|. Within a band, every
-    // feasible segment's trial placement is independent of the others (trials
-    // mutate only per-worker scratch), so a band can fan out across the pool.
-    // The reduction then scans candidates in the exact serial visit order
-    // (d ascending, +d row before −d, segments in row order) with a strict
-    // `<`: any candidate the serial loop's dy² pruning would have skipped has
-    // cost ≥ dy² ≥ the running best at that point, so it can never win — the
-    // committed segment is bitwise-identical to the serial one for any worker
-    // count.
+    // Candidate rows by distance d = |r − center|, the +d row before the −d
+    // one, segments in row order; the first strictly cheaper trial wins. A
+    // row whose dy² alone reaches the best cost cannot win and is skipped.
     const long nrows = static_cast<long>(rows.num_rows());
     for (long d = 0; d < nrows; ++d) {
       const double dy_min = (d > 0 ? (d - 0.5) * row_h : 0.0);
       if (dy_min * dy_min >= best_cost) break;  // rows only get farther
-      band.clear();
       for (int sign = 0; sign < (d == 0 ? 1 : 2); ++sign) {
         const long r = static_cast<long>(center_row) + (sign == 0 ? d : -d);
         if (r < 0 || r >= nrows) continue;
@@ -147,37 +127,14 @@ LegalizeStats abacus_legalize(db::Database& db, const ExecutionContext* exec,
         for (SegmentState& st : state[r]) {
           if (st.seg.label != db.cell_fence(cell)) continue;  // fence mismatch
           if (st.used + w > st.seg.width() + 1e-9) continue;
-          band.push_back(Candidate{&st, dy * dy});
-        }
-      }
-      if (band.empty()) continue;
-      band_cost.resize(band.size());
-      auto eval = [&](std::size_t b, std::size_t e, std::size_t worker) {
-        for (std::size_t i = b; i < e; ++i) {
-          const double x = place_row(*band[i].st, cell, tx, w, 1.0,
-                                     /*commit=*/false, &scratch[worker]);
+          const double x =
+              place_row(st, cell, tx, w, 1.0, /*commit=*/false, &scratch);
           const double dx = x - tx;
-          band_cost[i] = dx * dx + band[i].dy2;
-        }
-      };
-      // A trial place_row costs ~one cluster-list copy, so estimate the band's
-      // work in clusters and only pay the pool dispatch (cv broadcast + join,
-      // microseconds) when the trials amortize it; early bands on near-empty
-      // segments stay serial. band_cost is the same either way.
-      std::size_t band_clusters = 0;
-      for (const Candidate& cand : band) {
-        band_clusters += cand.st->clusters.size() + 1;
-      }
-      if (pool != nullptr && band.size() >= 2 &&
-          band_clusters >= min_band_clusters) {
-        pool->parallel_for(band.size(), eval, /*grain=*/1);
-      } else {
-        eval(0, band.size(), 0);
-      }
-      for (std::size_t i = 0; i < band.size(); ++i) {
-        if (band_cost[i] < best_cost) {
-          best_cost = band_cost[i];
-          best_seg = band[i].st;
+          const double cost = dx * dx + dy * dy;
+          if (cost < best_cost) {
+            best_cost = cost;
+            best_seg = &st;
+          }
         }
       }
     }

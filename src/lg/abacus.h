@@ -18,22 +18,10 @@ class ExecutionContext;
 
 namespace xplace::lg {
 
-/// Legalizes all movable cells of `db` in place. Requires rows.
-///
-/// `exec` selects the execution backend for the candidate-row search: with a
-/// parallel context, each distance band's trial placements are evaluated
-/// concurrently (per-worker scratch) and reduced in the serial visit order
-/// with a strict `<`, so the committed placement is bitwise-identical to the
-/// serial one for ANY worker count. Null (the default) is the historical
-/// serial path.
-///
-/// `min_band_clusters` gates the fan-out: a band is only dispatched to the
-/// pool when its estimated trial work (total clusters across candidate
-/// segments) reaches the threshold, since a pool dispatch costs microseconds
-/// but a trial on a near-empty segment costs nanoseconds. The default keeps
-/// small bands serial; tests pass 0 to force the pooled path.
+/// Legalizes all movable cells of `db` in place. Requires rows. Runs on the
+/// calling thread; the `ExecutionContext` parameter is ignored (the flow
+/// benchmark still passes one).
 LegalizeStats abacus_legalize(db::Database& db,
-                              const ExecutionContext* exec = nullptr,
-                              std::size_t min_band_clusters = 512);
+                              const ExecutionContext* = nullptr);
 
 }  // namespace xplace::lg

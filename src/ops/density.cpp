@@ -7,10 +7,80 @@
 #include "fft/fft.h"
 #include "tensor/dispatch.h"
 #include "util/geometry.h"
+#include "util/thread_pool.h"
 
 namespace xplace::ops {
 
 using tensor::Dispatcher;
+
+namespace {
+
+/// Per-worker density maps reused across launches, owned by the calling
+/// thread (thread_local so concurrent callers never share them). Each map is
+/// zeroed inside its worker's own task — in parallel — so the steady-state
+/// per-iteration cost is a fill, not a round of allocations.
+std::vector<std::vector<double>>& partition_bins() {
+  static thread_local std::vector<std::vector<double>> bins;
+  return bins;
+}
+
+/// The scatter behind accumulate_range/accumulate_cells (density.h): in
+/// place without a pool or below 512 cells, else per-worker maps folded in
+/// worker order.
+void scatter_cells(const DensityGrid& grid, const float* x, const float* y,
+                   simd::CellSet cells, double* map, bool clear,
+                   ThreadPool* pool) {
+  const std::size_t workers = pool != nullptr ? pool->size() : 1;
+  if (workers <= 1 || cells.count < 512) {
+    if (clear) std::fill(map, map + grid.num_bins(), 0.0);
+    grid.scatter(x, y, cells, map);
+    return;
+  }
+  auto& bins = partition_bins();
+  if (bins.size() < workers) bins.resize(workers);
+  pool->parallel_for(
+      workers,
+      [&](std::size_t b, std::size_t e_, std::size_t) {
+        for (std::size_t w = b; w < e_; ++w) {
+          bins[w].assign(grid.num_bins(), 0.0);
+          grid.scatter(x, y,
+                       cells.slice(w * cells.count / workers,
+                                   (w + 1) * cells.count / workers),
+                       bins[w].data());
+        }
+      },
+      /*grain=*/1);
+  // Each bin folds its partitions in fixed slot order (base + p0 + p1 + …).
+  pool->parallel_for(grid.num_bins(),
+                     [&](std::size_t b, std::size_t e_, std::size_t) {
+                       for (std::size_t bin = b; bin < e_; ++bin) {
+                         double acc = clear ? 0.0 : map[bin];
+                         for (std::size_t w = 0; w < workers; ++w) {
+                           acc += bins[w][bin];
+                         }
+                         map[bin] = acc;
+                       }
+                     });
+}
+
+/// The gather behind gather_field/gather_field_cells: each cell owns its
+/// gradient slot, so pooled chunks compute exactly what one serial call does.
+void gather_cells(const DensityGrid& grid, const float* x, const float* y,
+                  simd::CellSet cells, const double* ex, const double* ey,
+                  float coeff, float* grad_x, float* grad_y,
+                  ThreadPool* pool) {
+  if (pool == nullptr) {
+    grid.gather(x, y, cells, ex, ey, coeff, grad_x, grad_y);
+    return;
+  }
+  pool->parallel_for(cells.count,
+                     [&](std::size_t b, std::size_t e, std::size_t) {
+                       grid.gather(x, y, cells.slice(b, e), ex, ey, coeff,
+                                   grad_x, grad_y);
+                     });
+}
+
+}  // namespace
 
 DensityGrid::DensityGrid(const db::Database& db, int m)
     : target_density_(db.target_density()),
@@ -57,11 +127,11 @@ DensityGrid::DensityGrid(const db::Database& db, int m)
 
 void DensityGrid::accumulate_range(const char* opname, const float* x,
                                    const float* y, std::size_t begin,
-                                   std::size_t end, double* map,
-                                   bool clear) const {
+                                   std::size_t end, double* map, bool clear,
+                                   ThreadPool* pool) const {
   Dispatcher::global().run(opname, [&] {
-    if (clear) std::fill(map, map + num_bins(), 0.0);
-    scatter(x, y, {nullptr, begin, end - begin}, map);
+    scatter_cells(*this, x, y, {nullptr, begin, end - begin}, map, clear,
+                  pool);
   });
 }
 
@@ -84,10 +154,11 @@ double DensityGrid::overflow_area(const double* density_map) const {
 void DensityGrid::accumulate_cells(const char* opname, const float* x,
                                    const float* y,
                                    const std::vector<std::uint32_t>& cells,
-                                   double* map, bool clear) const {
+                                   double* map, bool clear,
+                                   ThreadPool* pool) const {
   Dispatcher::global().run(opname, [&] {
-    if (clear) std::fill(map, map + num_bins(), 0.0);
-    scatter(x, y, {cells.data(), 0, cells.size()}, map);
+    scatter_cells(*this, x, y, {cells.data(), 0, cells.size()}, map, clear,
+                  pool);
   });
 }
 
@@ -96,10 +167,10 @@ void DensityGrid::gather_field_cells(const char* opname, const float* x,
                                      const std::vector<std::uint32_t>& cells,
                                      const double* ex, const double* ey,
                                      float coeff, float* grad_x,
-                                     float* grad_y) const {
+                                     float* grad_y, ThreadPool* pool) const {
   Dispatcher::global().run(opname, [&] {
-    gather(x, y, {cells.data(), 0, cells.size()}, ex, ey, coeff, grad_x,
-           grad_y);
+    gather_cells(*this, x, y, {cells.data(), 0, cells.size()}, ex, ey, coeff,
+                 grad_x, grad_y, pool);
   });
 }
 
@@ -107,9 +178,10 @@ void DensityGrid::gather_field(const char* opname, const float* x,
                                const float* y, std::size_t begin,
                                std::size_t end, const double* ex,
                                const double* ey, float coeff, float* grad_x,
-                               float* grad_y) const {
+                               float* grad_y, ThreadPool* pool) const {
   Dispatcher::global().run(opname, [&] {
-    gather(x, y, {nullptr, begin, end - begin}, ex, ey, coeff, grad_x, grad_y);
+    gather_cells(*this, x, y, {nullptr, begin, end - begin}, ex, ey, coeff,
+                 grad_x, grad_y, pool);
   });
 }
 

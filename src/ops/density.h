@@ -26,6 +26,17 @@
 // scatters write entries from `const` methods: two callers must not scatter
 // overlapping cells into one grid at once (the pooled kernels partition by
 // cell). The table is transient: it is not part of checkpoint state.
+//
+// The scatters and gathers take an optional ThreadPool. Null (or a pool of
+// one) runs the backend kernel in place. With a pool:
+//   * the scatter gives each worker a contiguous slice of the cells and its
+//     own full-grid map, and every bin folds the maps in worker order
+//     (base + p0 + p1 + …) — deterministic for a fixed pool size, but not
+//     across pool sizes; below 512 cells it runs in place,
+//   * the gather splits the cells into chunks; each cell's gradient slot is
+//     written by one worker exactly as the serial kernel writes it, so the
+//     pooled gather is bitwise the serial one.
+// Either way a call is one dispatcher launch under `opname`.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +44,10 @@
 
 #include "db/database.h"
 #include "util/simd.h"
+
+namespace xplace {
+class ThreadPool;
+}
 
 namespace xplace::ops {
 
@@ -58,13 +73,13 @@ class DensityGrid {
   /// under `opname`.
   void accumulate_range(const char* opname, const float* x, const float* y,
                         std::size_t begin, std::size_t end, double* map,
-                        bool clear) const;
+                        bool clear, ThreadPool* pool = nullptr) const;
 
   /// Scatter an explicit list of cells (multi-electrostatics: the members of
   /// one fence region's system). One kernel launch.
   void accumulate_cells(const char* opname, const float* x, const float* y,
                         const std::vector<std::uint32_t>& cells, double* map,
-                        bool clear) const;
+                        bool clear, ThreadPool* pool = nullptr) const;
 
   /// Overflow ratio (Equation (7)) from the physical-cell density map D.
   /// One kernel launch.
@@ -81,13 +96,14 @@ class DensityGrid {
   void gather_field(const char* opname, const float* x, const float* y,
                     std::size_t begin, std::size_t end, const double* ex,
                     const double* ey, float coeff, float* grad_x,
-                    float* grad_y) const;
+                    float* grad_y, ThreadPool* pool = nullptr) const;
 
   /// Gather for an explicit cell list (fence-region systems).
   void gather_field_cells(const char* opname, const float* x, const float* y,
                           const std::vector<std::uint32_t>& cells,
                           const double* ex, const double* ey, float coeff,
-                          float* grad_x, float* grad_y) const;
+                          float* grad_x, float* grad_y,
+                          ThreadPool* pool = nullptr) const;
 
   double target_density() const { return target_density_; }
 
@@ -95,8 +111,8 @@ class DensityGrid {
   /// scaled cell area scattered into it).
   double total_area(const double* map) const;
 
-  /// The launch-free kernels behind the calls above, which the pooled
-  /// variants (ops/parallel.h) run per partition.
+  /// The launch-free single-thread kernels behind the calls above (run per
+  /// partition when pooled).
   void scatter(const float* x, const float* y, simd::CellSet cells,
                double* map) const {
     simd::active().density_scatter(g_, x, y, cells, map);

@@ -2,9 +2,9 @@
 
 #include <vector>
 
-#include "ops/parallel.h"
 #include "tensor/dispatch.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace xplace::ops {
 namespace {
@@ -104,23 +104,10 @@ WirelengthSums wa_net_lanes(const NetlistView& v, const float* x,
 
 WirelengthSums fused_wl_grad_hpwl(const NetlistView& v, const float* x,
                                   const float* y, float gamma, float* grad_x,
-                                  float* grad_y) {
+                                  float* grad_y, ThreadPool* pool) {
   WirelengthSums sums;
   Dispatcher::global().run("fused_wl_grad_hpwl", [&] {
-    sums = wa_net_lanes(v, x, y, gamma, grad_x, grad_y, true, true, nullptr);
-  });
-  return sums;
-}
-
-WirelengthSums fused_wl_grad_hpwl_mt(const NetlistView& v, const float* x,
-                                     const float* y, float gamma,
-                                     float* grad_x, float* grad_y,
-                                     ThreadPool& pool) {
-  WirelengthSums sums;
-  // Same op name and bits as the serial kernel: the pool changes how the
-  // kernel runs, not which kernel runs.
-  Dispatcher::global().run("fused_wl_grad_hpwl", [&] {
-    sums = wa_net_lanes(v, x, y, gamma, grad_x, grad_y, true, true, &pool);
+    sums = wa_net_lanes(v, x, y, gamma, grad_x, grad_y, true, true, pool);
   });
   return sums;
 }

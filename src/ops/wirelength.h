@@ -10,9 +10,12 @@
 //   * the tape-decomposed elementary-op implementation lives in
 //     wirelength_tape.h (operator reduction OFF).
 //
-// The fused and separate kernels (and fused_wl_grad_hpwl_mt, ops/parallel.h)
-// run one net-lane loop (DESIGN.md §18) and give the same bits as a
-// per-net loop over the nets in order.
+// The fused and separate kernels run one net-lane loop (DESIGN.md §18) and
+// give the same bits as a per-net loop over the nets in order. The fused
+// kernel takes an optional ThreadPool: it spreads the loop's fixed-size group
+// chunks and cell ranges over the workers, with the same bits at any pool
+// size and the same launch name ("fused_wl_grad_hpwl") — the pool changes how
+// the kernel runs, not which kernel runs.
 //
 // Gradient convention: gradients of Σ_e w_e·WL_e(p) with respect to cell
 // centers are *accumulated* into grad_x/grad_y (callers zero them first).
@@ -24,6 +27,10 @@
 
 #include "ops/netlist_view.h"
 
+namespace xplace {
+class ThreadPool;
+}
+
 namespace xplace::ops {
 
 struct WirelengthSums {
@@ -34,7 +41,7 @@ struct WirelengthSums {
 /// One fused kernel: WA wirelength + gradient + HPWL (operator combination).
 WirelengthSums fused_wl_grad_hpwl(const NetlistView& view, const float* x,
                                   const float* y, float gamma, float* grad_x,
-                                  float* grad_y);
+                                  float* grad_y, ThreadPool* pool = nullptr);
 
 /// WA wirelength only (separate kernel, own min/max scan).
 double wa_wirelength(const NetlistView& view, const float* x, const float* y,

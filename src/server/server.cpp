@@ -1100,12 +1100,12 @@ void PlacementServer::run_job(Job& job, std::size_t leased_threads) {
       } else {
         {
           XP_TRACE_SCOPE("serve.lg");
-          lg::abacus_legalize(db, &placer.execution());
+          lg::abacus_legalize(db);
         }
         XP_TRACE_SCOPE("serve.dp");
         dp::DetailedPlaceConfig dcfg;
         dcfg.stop = &job.token;
-        dp::detailed_place(db, dcfg, &placer.execution());
+        dp::detailed_place(db, dcfg);
         dp_hpwl = db.hpwl();
         legalized = true;
         if (const StopCause c2 = job.token.check(); c2 != StopCause::kNone) {

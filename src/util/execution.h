@@ -1,21 +1,24 @@
 // Pluggable execution backend for the placement flow.
 //
 // The paper's placer owes its speed to massively parallel per-net/per-cell
-// GPU kernels; this CPU reproduction carries the same kernels in serial and
-// ThreadPool-partitioned (`*_mt`) form. An ExecutionContext names which of
-// the two backends a flow runs on and owns the one shared ThreadPool every
-// layer dispatches onto:
+// GPU kernels; this CPU reproduction runs each GP kernel as one entry point
+// that takes an optional ThreadPool. An ExecutionContext names which of the
+// two backends a flow runs on and owns the one shared ThreadPool the GP
+// layers dispatch onto:
 //
 //   GlobalPlacer ──▶ GradientEngine ──▶ ops kernels (scatter/gather/fused WA)
 //                └─▶ PoissonSolver  ──▶ fft 2-D transforms
-//   abacus_legalize / detailed_place (passed explicitly by the driver)
+//
+// Legalization and detailed placement run on the calling thread at any
+// thread count (DESIGN.md §9 says which passes pool and why).
 //
 // Determinism contract (see DESIGN.md §9):
 //   * serial backend: bitwise-identical to the historical single-threaded
 //     flow — it runs the exact same code paths,
 //   * threadpool backend: bitwise-deterministic run-to-run for a fixed
-//     thread count (all reductions are worker- or slot-ordered), and equal
-//     to serial up to float accumulation order.
+//     thread count. The WA, gather and transform kernels give the serial
+//     bits at any pool size; the density scatter folds per-worker maps in
+//     worker order, so its bits depend on the pool size.
 //
 // Contexts are cheap value types (a backend tag + a shared_ptr pool); copies
 // share the pool. The flow-level selection comes from `--threads N` or the
@@ -65,7 +68,7 @@ class ExecutionContext {
   /// Worker count the backend executes with (1 for serial).
   std::size_t threads() const { return pool_ ? pool_->size() : 1; }
 
-  /// True when kernels should route to their `*_mt` variants.
+  /// True when the GP kernels should be handed the pool.
   bool parallel() const { return pool_ != nullptr && pool_->size() > 1; }
 
   /// The shared pool, or nullptr on the serial backend.

@@ -25,7 +25,7 @@
 //     within documented tolerances (vectorized exp: ≤2 ULP of expf on the WA
 //     input range (-87.3, 0], +0 at and below its lower clamp).
 //
-// The table composes under the ThreadPool: `*_mt` kernels partition work
+// The table composes under the ThreadPool: pooled kernels partition work
 // across workers and each chunk runs vector lanes internally.
 #pragma once
 

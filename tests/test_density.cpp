@@ -15,7 +15,6 @@
 #include "core/placer.h"
 #include "io/generator.h"
 #include "ops/density.h"
-#include "ops/parallel.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
@@ -99,14 +98,8 @@ Grad gather(const ops::DensityGrid& grid, const db::Database& db,
   const std::size_t ranges[2][2] = {{0, db.num_movable()},
                                     {db.num_physical(), db.num_cells_total()}};
   for (const auto& r : ranges) {
-    if (pool != nullptr) {
-      ops::gather_field_mt(grid, "g", p.x.data(), p.y.data(), r[0], r[1],
-                           f.ex.data(), f.ey.data(), -1.0f, g.x.data(),
-                           g.y.data(), *pool);
-    } else {
-      grid.gather_field("g", p.x.data(), p.y.data(), r[0], r[1], f.ex.data(),
-                        f.ey.data(), -1.0f, g.x.data(), g.y.data());
-    }
+    grid.gather_field("g", p.x.data(), p.y.data(), r[0], r[1], f.ex.data(),
+                      f.ey.data(), -1.0f, g.x.data(), g.y.data(), pool);
   }
   return g;
 }
@@ -120,14 +113,9 @@ std::vector<double> scatter(const ops::DensityGrid& grid,
   const std::size_t ranges[2][2] = {{0, db.num_physical()},
                                     {db.num_physical(), db.num_cells_total()}};
   for (int i = 0; i < 2; ++i) {
-    double* map = maps.data() + i * grid.num_bins();
-    if (pool != nullptr) {
-      ops::accumulate_range_mt(grid, "s", p.x.data(), p.y.data(),
-                               ranges[i][0], ranges[i][1], map, true, *pool);
-    } else {
-      grid.accumulate_range("s", p.x.data(), p.y.data(), ranges[i][0],
-                            ranges[i][1], map, true);
-    }
+    grid.accumulate_range("s", p.x.data(), p.y.data(), ranges[i][0],
+                          ranges[i][1], maps.data() + i * grid.num_bins(),
+                          true, pool);
   }
   return maps;
 }
@@ -201,8 +189,8 @@ TEST_P(DensityFootprint, PooledMatchesSerialBitwise) {
       EXPECT_TRUE(same_bits(maps, serial_maps));
     }
     std::vector<double> small(grid.num_bins());
-    ops::accumulate_range_mt(grid, "s", p.x.data(), p.y.data(), lo, hi,
-                             small.data(), true, pool);
+    grid.accumulate_range("s", p.x.data(), p.y.data(), lo, hi, small.data(),
+                          true, &pool);
     EXPECT_TRUE(same_bits(small, small_serial));
   }
 }
@@ -227,19 +215,11 @@ TEST_P(DensityFootprint, FenceCellListsMeetTheSameContract) {
     maps.assign(lists.size() * grid.num_bins(), 0.0);
     for (std::size_t k = 0; k < lists.size(); ++k) {
       double* map = maps.data() + k * grid.num_bins();
-      if (pool != nullptr) {
-        ops::accumulate_cells_mt(grid, "s", p.x.data(), p.y.data(), lists[k],
-                                 map, false, *pool);
-        ops::gather_field_cells_mt(grid, "g", p.x.data(), p.y.data(),
-                                   lists[k], f.ex.data(), f.ey.data(), -1.0f,
-                                   g.x.data(), g.y.data(), *pool);
-      } else {
-        grid.accumulate_cells("s", p.x.data(), p.y.data(), lists[k], map,
-                              false);
-        grid.gather_field_cells("g", p.x.data(), p.y.data(), lists[k],
-                                f.ex.data(), f.ey.data(), -1.0f, g.x.data(),
-                                g.y.data());
-      }
+      grid.accumulate_cells("s", p.x.data(), p.y.data(), lists[k], map, false,
+                            pool);
+      grid.gather_field_cells("g", p.x.data(), p.y.data(), lists[k],
+                              f.ex.data(), f.ey.data(), -1.0f, g.x.data(),
+                              g.y.data(), pool);
     }
     return g;
   };

@@ -1,18 +1,20 @@
 // Tests for the pluggable execution backend: ThreadPool edge cases and
 // exception propagation, ExecutionContext selection/publishing, bitwise
 // parallel 2-D transforms, serial-vs-threaded GP parity and run-to-run
-// determinism, bitwise-parallel Abacus legalization, worker-count-independent
-// local reordering, and guardian recovery on the threaded backend.
+// determinism, LG/DP results that do not depend on the thread count, and
+// guardian recovery on the threaded backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/placer.h"
+#include "dp/detailed_placer.h"
 #include "dp/local_reorder.h"
 #include "fft/dct.h"
 #include "io/generator.h"
@@ -279,18 +281,51 @@ TEST(ExecutionGP, SerialBackendBitwiseMatchesDefaultConfig) {
   if (saved != nullptr) ::setenv("XPLACE_THREADS", saved_value.c_str(), 1);
 }
 
-// ---------------- LG: bitwise-parallel Abacus ----------------
+// ---------------- LG + DP: one serial algorithm ----------------
+
+TEST(ExecutionFlow, LgDpBitwiseAcrossThreadCounts) {
+  // LG and DP run the same serial passes whatever context the caller hands
+  // in, so from one GP placement the legalized and detailed placements are
+  // bitwise equal with no context and at 1-4 threads.
+  db::Database gp_db = make_db(800, 23);
+  core::GlobalPlacer placer(gp_db, small_cfg(/*threads=*/1));
+  placer.run();
+
+  std::vector<double> ref_pos;
+  double ref_hpwl = 0.0;
+  for (int threads = 0; threads <= 4; ++threads) {
+    SCOPED_TRACE(threads);
+    db::Database db = gp_db;
+    const ExecutionContext exec = ExecutionContext::from_threads(threads);
+    const ExecutionContext* ctx = threads == 0 ? nullptr : &exec;
+    lg::abacus_legalize(db, ctx);
+    const dp::DetailedPlaceResult res = dp::detailed_place(db, {}, ctx);
+    std::vector<double> pos;
+    for (std::size_t c = 0; c < db.num_movable(); ++c) {
+      pos.push_back(db.x(c));
+      pos.push_back(db.y(c));
+    }
+    if (threads == 0) {
+      ref_pos = pos;
+      ref_hpwl = res.hpwl_after;
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(&res.hpwl_after, &ref_hpwl, sizeof(double)), 0);
+    ASSERT_EQ(pos.size(), ref_pos.size());
+    EXPECT_EQ(std::memcmp(pos.data(), ref_pos.data(),
+                          pos.size() * sizeof(double)),
+              0);
+  }
+}
 
 TEST(ExecutionLG, AbacusParallelBitwiseMatchesSerial) {
+  // A 4-thread context must not change a single legalized coordinate.
   db::Database db_s = make_db(800, 23);
   db::Database db_p = make_db(800, 23);
 
-  lg::abacus_legalize(db_s);  // historical serial path
-
+  lg::abacus_legalize(db_s);
   const ExecutionContext exec = ExecutionContext::from_threads(4);
-  // min_band_clusters=0 forces every band through the pool — the work gate
-  // would otherwise keep this small design's bands serial.
-  lg::abacus_legalize(db_p, &exec, /*min_band_clusters=*/0);
+  lg::abacus_legalize(db_p, &exec);
 
   for (std::size_t c = 0; c < db_s.num_movable(); ++c) {
     ASSERT_EQ(db_p.x(c), db_s.x(c)) << "cell " << c;
@@ -298,20 +333,16 @@ TEST(ExecutionLG, AbacusParallelBitwiseMatchesSerial) {
   }
 }
 
-// ---------------- DP: worker-count-independent local reorder ----------------
-
 TEST(ExecutionDP, LocalReorderDeterministicAcrossWorkerCounts) {
-  // Same legalized start, reordered under 2 and 4 workers: the snapshot
-  // semantics make the outcome independent of the worker count.
+  // Same legalized start, reordered under 2 and 4 workers: the pass is the
+  // serial row sweep either way, so it never raises HPWL and the outcome is
+  // independent of the worker count.
   std::vector<double> pos2, pos4;
   for (int workers : {2, 4}) {
     db::Database db = make_db(800, 23);
     lg::abacus_legalize(db);
     const ExecutionContext exec = ExecutionContext::from_threads(workers);
     const dp::PassStats stats = dp::local_reorder_pass(db, 3, &exec);
-    // Guaranteed, not luck: rows price moves against the pass-entry snapshot
-    // (joint commits could regress), but the pass recomputes HPWL after
-    // committing and redoes the pass serially if it went up.
     EXPECT_LE(stats.hpwl_after, stats.hpwl_before + 1e-9);
     auto& out = workers == 2 ? pos2 : pos4;
     for (std::size_t c = 0; c < db.num_movable(); ++c) {

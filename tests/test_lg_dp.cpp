@@ -238,6 +238,35 @@ TEST(DetailedPlace, DriverImprovesHpwl) {
   EXPECT_TRUE(lg::check_legality(db).legal());
 }
 
+TEST(DetailedPlace, SubPassTotalsMatchThePasses) {
+  // One round of detailed_place is one swap, one ISM and one reorder pass;
+  // its per-kind totals must be exactly what those passes report alone.
+  db::Database db = placed_design();
+  lg::abacus_legalize(db);
+  db::Database manual = db;
+  dp::DetailedPlaceConfig cfg;
+  cfg.max_rounds = 1;
+  const dp::DetailedPlaceResult res = dp::detailed_place(db, cfg);
+
+  const double row_h = manual.rows().front().height;
+  const dp::PassStats swap =
+      dp::global_swap_pass(manual, cfg.swap_radius_rows * row_h);
+  const dp::PassStats ism = dp::ism_pass(manual, cfg.ism_max_set);
+  const dp::PassStats reorder =
+      dp::local_reorder_pass(manual, cfg.reorder_window);
+  EXPECT_EQ(res.global_swap.moves, swap.moves_accepted);
+  EXPECT_EQ(res.ism.moves, ism.moves_accepted);
+  EXPECT_EQ(res.local_reorder.moves, reorder.moves_accepted);
+  EXPECT_EQ(res.moves_accepted,
+            res.global_swap.moves + res.ism.moves + res.local_reorder.moves);
+  EXPECT_GT(res.global_swap.seconds, 0.0);
+  EXPECT_GT(res.ism.seconds, 0.0);
+  EXPECT_GT(res.local_reorder.seconds, 0.0);
+  EXPECT_LE(res.global_swap.seconds + res.ism.seconds +
+                res.local_reorder.seconds,
+            res.seconds);
+}
+
 TEST(DetailedPlace, NoMovesOnConvergedResult) {
   db::Database db = placed_design(200, 23);
   lg::abacus_legalize(db);

@@ -470,8 +470,8 @@ TEST(PlacementServer, ServedJobsReproduceDirectRunBitForBit) {
   pcfg.threads = 1;
   core::GlobalPlacer placer(db, pcfg);
   const core::GlobalPlaceResult gp = placer.run();
-  lg::abacus_legalize(db, &placer.execution());
-  dp::detailed_place(db, {}, &placer.execution());
+  lg::abacus_legalize(db);
+  dp::detailed_place(db);
   std::error_code ec;
   fs::remove_all(dir, ec);
 
