@@ -3,7 +3,7 @@
 #
 #   ci/run_ci.sh [tier1|tier1-mt|tier1-scalar|tier1-serve|tier1-obs|tier1-chaos|tier1-batch|tier1-portfolio|faultinject|asan-ubsan|tsan|all]
 #
-#   tier1       plain build, full ctest suite
+#   tier1       plain build (-Werror: warnings fail the lane), full ctest suite
 #   tier1-mt    same build, full ctest suite with XPLACE_THREADS=4 so every
 #               module that consults the execution backend runs on the
 #               threadpool — launch counts, numerics contracts, and recovery
@@ -67,13 +67,17 @@ build() { # build <dir> [extra cmake args...]
   cmake --build "$dir" -j "$jobs"
 }
 
+# The tier-1 build treats warnings as errors, so the build stays
+# warning-free.
+build_ci() { build build-ci -DCMAKE_CXX_FLAGS=-Werror; }
+
 run_tier1() {
-  build build-ci
+  build_ci
   ctest --test-dir build-ci --output-on-failure -j "$jobs"
 }
 
 run_tier1_mt() {
-  build build-ci
+  build_ci
   XPLACE_THREADS=4 ctest --test-dir build-ci --output-on-failure -j "$jobs"
 
   echo "=== tier1-mt lane: demo flow at --threads 1 vs 4 ==="
@@ -86,7 +90,7 @@ run_tier1_mt() {
 }
 
 run_tier1_scalar() {
-  build build-ci
+  build_ci
   XPLACE_SIMD=scalar ctest --test-dir build-ci --output-on-failure -j "$jobs"
 }
 
@@ -97,7 +101,7 @@ serve_fail() { # serve_fail <message>  (kills the daemon, then fails the lane)
 }
 
 run_tier1_serve() {
-  build build-ci
+  build_ci
   local sock="/tmp/xplace_ci_$$.sock"
   local client=./build-ci/examples/xplace_client
 
@@ -154,7 +158,7 @@ run_tier1_serve() {
 }
 
 run_tier1_obs() {
-  build build-ci
+  build_ci
   local sock="/tmp/xplace_ci_obs_$$.sock"
   local trace="/tmp/xplace_ci_obs_$$.trace.json"
   local client=./build-ci/examples/xplace_client
@@ -246,7 +250,7 @@ run_tier1_obs() {
 }
 
 run_tier1_chaos() {
-  build build-ci
+  build_ci
   local sock="/tmp/xplace_ci_chaos_$$.sock"
   local state="/tmp/xplace_ci_chaos_$$.state"
   local log="/tmp/xplace_ci_chaos_$$.log"
@@ -360,7 +364,7 @@ run_tier1_chaos() {
 }
 
 run_tier1_batch() {
-  build build-ci
+  build_ci
   local sock="/tmp/xplace_ci_batch_$$.sock"
   local client=./build-ci/examples/xplace_client
 
@@ -427,7 +431,7 @@ run_tier1_batch() {
 }
 
 run_tier1_portfolio() {
-  build build-ci
+  build_ci
   local sock="/tmp/xplace_ci_portfolio_$$.sock"
   local client=./build-ci/examples/xplace_client
 
@@ -501,7 +505,7 @@ run_tier1_portfolio() {
 }
 
 run_faultinject() {
-  build build-ci
+  build_ci
   ctest --test-dir build-ci --output-on-failure -L faultinject
 
   # End-to-end env-driven matrix: the full flow must survive every fault kind

@@ -133,26 +133,14 @@ int usage() {
   return 2;
 }
 
+/// The client's short aliases; every other verb is its protocol wire name.
 bool command_from_name(const std::string& name, Command* out) {
-  if (name == "submit") *out = Command::kSubmit;
-  else if (name == "status") *out = Command::kStatus;
-  else if (name == "cancel") *out = Command::kCancel;
-  else if (name == "result") *out = Command::kResult;
-  else if (name == "events") *out = Command::kEvents;
-  else if (name == "stats") *out = Command::kStats;
-  else if (name == "metrics") *out = Command::kMetrics;
-  else if (name == "shutdown") *out = Command::kShutdown;
-  else if (name == "upload") *out = Command::kUploadDesign;
+  if (name == "upload") *out = Command::kUploadDesign;
   else if (name == "designs") *out = Command::kListDesigns;
   else if (name == "evict") *out = Command::kEvictDesign;
   else if (name == "sweep") *out = Command::kSubmitBatch;
-  else if (name == "batch-status") *out = Command::kBatchStatus;
-  else if (name == "batch-result") *out = Command::kBatchResult;
-  else if (name == "batch-cancel") *out = Command::kBatchCancel;
   else if (name == "portfolio") *out = Command::kSubmitPortfolio;
-  else if (name == "portfolio-status") *out = Command::kPortfolioStatus;
-  else if (name == "portfolio-result") *out = Command::kPortfolioResult;
-  else return false;
+  else return command_from_string(name, out);
   return true;
 }
 

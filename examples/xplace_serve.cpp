@@ -7,8 +7,8 @@
 // directly:
 //
 //   ./xplace_serve --socket /tmp/xplace.sock --jobs 2 &
-//   printf '{"cmd":"submit","demo_cells":2000,"max_iters":150}\n' \
-//     | nc -U /tmp/xplace.sock
+//   echo '{"cmd":"submit","demo_cells":2000,"max_iters":150}' |
+//     nc -U /tmp/xplace.sock
 //
 // Flags:
 //   --socket PATH       listen socket (default /tmp/xplace.sock)

@@ -1,7 +1,9 @@
-// Discrete cosine / sine transforms built on the radix-2 FFT.
+// 2-D discrete cosine / sine transforms on the fused plan engine
+// (fft/plan.h), the one DCT implementation in the repository.
 //
 // These are the spectral kernels of the ePlace electrostatic solver
-// (Equation (5) of the Xplace paper):
+// (Equation (5) of the Xplace paper), built from three 1-D kinds
+// (fft::Kind1D):
 //
 //   dct       X_k = Σ_n x_n cos(πk(2n+1)/(2N))            (DCT-II, unnormalized)
 //   idct      exact inverse of dct — includes the 1/N and the halved k=0 term
@@ -9,6 +11,7 @@
 //             (the sine synthesis paired with idct's normalization; the k=0
 //             term vanishes so α_0 is irrelevant)
 //
+// A 1-D transform is a single-row run_rows pass with the matching kind.
 // 2-D combinations follow DREAMPlace's naming: `idxst_idct` applies the sine
 // synthesis along dimension 0 (x / rows) and cosine synthesis along dimension
 // 1 (y / cols); `idct_idxst` is the transpose pairing. All sizes must be
@@ -16,18 +19,12 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace xplace {
 class ThreadPool;
 }
 
 namespace xplace::fft {
-
-/// In-place 1-D transforms on length-n buffers (n a power of two).
-void dct(double* x, std::size_t n);
-void idct(double* x, std::size_t n);
-void idxst(double* x, std::size_t n);
 
 /// Row-major 2-D transforms over rows×cols (both powers of two).
 /// Dimension 0 = rows (x), dimension 1 = cols (y).
@@ -45,10 +42,5 @@ void idxst_idct(double* data, std::size_t rows, std::size_t cols,
                 ThreadPool* pool = nullptr);
 void idct_idxst(double* data, std::size_t rows, std::size_t cols,
                 ThreadPool* pool = nullptr);
-
-/// Vector conveniences used by tests.
-std::vector<double> dct(const std::vector<double>& x);
-std::vector<double> idct(const std::vector<double>& x);
-std::vector<double> idxst(const std::vector<double>& x);
 
 }  // namespace xplace::fft

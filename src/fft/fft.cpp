@@ -82,11 +82,4 @@ void ifft2(Complex* data, std::size_t rows, std::size_t cols) {
   }
 }
 
-std::vector<Complex> rfft(const std::vector<double>& x) {
-  std::vector<Complex> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = Complex(x[i], 0.0);
-  fft(y.data(), y.size());
-  return y;
-}
-
 }  // namespace xplace::fft

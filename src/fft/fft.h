@@ -1,8 +1,9 @@
 // Iterative radix-2 complex FFT (power-of-two sizes).
 //
 // This is the repository's stand-in for cuFFT / torch.fft: it backs the
-// DCT/IDXST transforms of the electrostatic Poisson solver (src/ops) and the
-// spectral layers of the Fourier neural operator (src/nn).
+// spectral layers of the Fourier neural operator (src/nn). The DCT/IDXST
+// transforms of the electrostatic Poisson solver run on the plan engine
+// (fft/plan.h), which shares its twiddle and bit-reversal tables.
 #pragma once
 
 #include <complex>
@@ -34,9 +35,5 @@ std::vector<Complex> ifft(const std::vector<Complex>& x);
 /// Row-column decomposition; unnormalized forward, 1/(rows*cols) inverse.
 void fft2(Complex* data, std::size_t rows, std::size_t cols);
 void ifft2(Complex* data, std::size_t rows, std::size_t cols);
-
-/// Forward DFT of a real signal; returns the full length-n complex spectrum
-/// (callers that want the Hermitian half can read the first n/2+1 entries).
-std::vector<Complex> rfft(const std::vector<double>& x);
 
 }  // namespace xplace::fft

@@ -1,13 +1,13 @@
 // Fused FFT/DCT plan engine (DESIGN.md §15).
 //
-// The per-call Makhoul pipeline (pack → full complex FFT → rotate, with a
-// mutex-guarded phase-table lookup on every row) is replaced here by
-// per-size `Plan`s that precompute everything a transform needs once —
-// stage-major butterfly twiddles, bit-reversal tables, the composed
-// pack∘bit-reverse gather permutation, and the DCT phase factors — plus an
-// executor that exploits the real-input symmetry of the electrostatic
-// transforms: two real rows (or two adjacent columns) ride one complex FFT
-// as its real and imaginary parts, halving the butterfly work.
+// Every DCT/IDCT/IDXST in the repository runs here (Makhoul's algorithm:
+// pack → complex FFT → rotate), on per-size `Plan`s that precompute
+// everything a transform needs once — stage-major butterfly twiddles,
+// bit-reversal tables, the composed pack∘bit-reverse gather permutation,
+// and the DCT phase factors — plus an executor that exploits the real-input
+// symmetry of the electrostatic transforms: two real rows (or two adjacent
+// columns) ride one complex FFT as its real and imaginary parts, halving
+// the butterfly work.
 //
 // Per pair, the executor runs
 //

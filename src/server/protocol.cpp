@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <cmath>
+#include <utility>
 
 namespace xplace::server {
 
@@ -56,28 +57,48 @@ LineReader::Pop LineReader::next(std::string* line) {
 // Requests
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Every command with its wire name: the one table that to_string and
+/// command_from_string both read.
+constexpr std::pair<Command, const char*> kCommandNames[] = {
+    {Command::kSubmit, "submit"},
+    {Command::kStatus, "status"},
+    {Command::kCancel, "cancel"},
+    {Command::kResult, "result"},
+    {Command::kEvents, "events"},
+    {Command::kStats, "stats"},
+    {Command::kMetrics, "metrics"},
+    {Command::kShutdown, "shutdown"},
+    {Command::kUploadDesign, "upload-design"},
+    {Command::kListDesigns, "list-designs"},
+    {Command::kEvictDesign, "evict-design"},
+    {Command::kSubmitBatch, "submit-batch"},
+    {Command::kBatchStatus, "batch-status"},
+    {Command::kBatchResult, "batch-result"},
+    {Command::kBatchCancel, "batch-cancel"},
+    {Command::kSubmitPortfolio, "submit-portfolio"},
+    {Command::kPortfolioStatus, "portfolio-status"},
+    {Command::kPortfolioResult, "portfolio-result"},
+};
+
+}  // namespace
+
 const char* to_string(Command cmd) {
-  switch (cmd) {
-    case Command::kSubmit: return "submit";
-    case Command::kStatus: return "status";
-    case Command::kCancel: return "cancel";
-    case Command::kResult: return "result";
-    case Command::kEvents: return "events";
-    case Command::kStats: return "stats";
-    case Command::kMetrics: return "metrics";
-    case Command::kShutdown: return "shutdown";
-    case Command::kUploadDesign: return "upload-design";
-    case Command::kListDesigns: return "list-designs";
-    case Command::kEvictDesign: return "evict-design";
-    case Command::kSubmitBatch: return "submit-batch";
-    case Command::kBatchStatus: return "batch-status";
-    case Command::kBatchResult: return "batch-result";
-    case Command::kBatchCancel: return "batch-cancel";
-    case Command::kSubmitPortfolio: return "submit-portfolio";
-    case Command::kPortfolioStatus: return "portfolio-status";
-    case Command::kPortfolioResult: return "portfolio-result";
+  for (const auto& [c, name] : kCommandNames) {
+    if (c == cmd) return name;
   }
   return "?";
+}
+
+bool command_from_string(std::string_view name, Command* out) {
+  for (const auto& [c, wire] : kCommandNames) {
+    if (name == wire) {
+      *out = c;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string hash_to_hex(std::uint64_t hash) {
@@ -106,29 +127,6 @@ bool hex_to_hash(const std::string& hex, std::uint64_t* out) {
 }
 
 namespace {
-
-bool command_from_string(const std::string& s, Command* out) {
-  if (s == "submit") *out = Command::kSubmit;
-  else if (s == "status") *out = Command::kStatus;
-  else if (s == "cancel") *out = Command::kCancel;
-  else if (s == "result") *out = Command::kResult;
-  else if (s == "events") *out = Command::kEvents;
-  else if (s == "stats") *out = Command::kStats;
-  else if (s == "metrics") *out = Command::kMetrics;
-  else if (s == "shutdown") *out = Command::kShutdown;
-  else if (s == "upload-design") *out = Command::kUploadDesign;
-  else if (s == "list-designs") *out = Command::kListDesigns;
-  else if (s == "evict-design") *out = Command::kEvictDesign;
-  else if (s == "submit-batch") *out = Command::kSubmitBatch;
-  else if (s == "batch-status") *out = Command::kBatchStatus;
-  else if (s == "batch-result") *out = Command::kBatchResult;
-  else if (s == "batch-cancel") *out = Command::kBatchCancel;
-  else if (s == "submit-portfolio") *out = Command::kSubmitPortfolio;
-  else if (s == "portfolio-status") *out = Command::kPortfolioStatus;
-  else if (s == "portfolio-result") *out = Command::kPortfolioResult;
-  else return false;
-  return true;
-}
 
 bool needs_id(Command cmd) {
   return cmd == Command::kStatus || cmd == Command::kCancel ||

@@ -81,6 +81,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/job.h"
@@ -146,7 +147,10 @@ enum class Command {
   kPortfolioResult,
 };
 
+/// Command ↔ wire name ("submit", "upload-design", …). command_from_string
+/// returns false, leaving *out unchanged, for an unknown name.
 const char* to_string(Command cmd);
+bool command_from_string(std::string_view name, Command* out);
 
 /// 64-bit content hash ↔ 16-char lowercase hex (the wire encoding).
 std::string hash_to_hex(std::uint64_t hash);

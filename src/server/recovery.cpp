@@ -143,6 +143,26 @@ bool decode_finish(const std::string& payload, FinishInfo* info) {
   return true;
 }
 
+FinishInfo finish_info(const JobRecord& rec) {
+  return {.state = rec.state, .stop_reason = rec.stop_reason,
+          .hpwl = rec.hpwl, .overflow = rec.overflow,
+          .iterations = rec.iterations, .gp_seconds = rec.gp_seconds,
+          .dp_hpwl = rec.dp_hpwl, .legalized = rec.legalized,
+          .error = rec.error};
+}
+
+void apply_finish(const FinishInfo& info, JobRecord* rec) {
+  rec->state = info.state;
+  rec->stop_reason = info.stop_reason;
+  rec->hpwl = info.hpwl;
+  rec->overflow = info.overflow;
+  rec->iterations = info.iterations;
+  rec->gp_seconds = info.gp_seconds;
+  rec->dp_hpwl = info.dp_hpwl;
+  rec->legalized = info.legalized;
+  rec->error = info.error;
+}
+
 std::string encode_checkpoint(int next_iter, const std::string& path) {
   std::string out;
   put<std::int32_t>(out, next_iter);

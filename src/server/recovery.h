@@ -81,6 +81,9 @@ bool decode_submit(const std::string& payload, JobSpec* spec, int* attempt);
 
 std::string encode_finish(const FinishInfo& info);
 bool decode_finish(const std::string& payload, FinishInfo* info);
+/// FinishInfo ↔ the terminal fields of a JobRecord.
+FinishInfo finish_info(const JobRecord& rec);
+void apply_finish(const FinishInfo& info, JobRecord* rec);
 
 std::string encode_checkpoint(int next_iter, const std::string& path);
 bool decode_checkpoint(const std::string& payload, int* next_iter,

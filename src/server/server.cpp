@@ -1143,11 +1143,7 @@ void PlacementServer::run_job(Job& job, std::size_t leased_threads) {
   }
 }
 
-void PlacementServer::finish_job_locked(Job& job, JobState state) {
-  if (job.rec.state == JobState::kRunning) --running_;
-  job.rec.state = state;
-  job.rec.finished_s = log::elapsed_seconds();
-  job.rec.events_dropped = job.dropped;
+void PlacementServer::count_terminal_locked(JobState state) {
   switch (state) {
     case JobState::kDone: ++completed_; break;
     case JobState::kCancelled: ++cancelled_; break;
@@ -1155,22 +1151,18 @@ void PlacementServer::finish_job_locked(Job& job, JobState state) {
     case JobState::kShed: ++shed_; break;
     default: break;
   }
-  {
-    // Terminal transition → journal, so a restart restores this job straight
-    // into the result store instead of re-running it.
-    FinishInfo info;
-    info.state = state;
-    info.stop_reason = job.rec.stop_reason;
-    info.hpwl = job.rec.hpwl;
-    info.overflow = job.rec.overflow;
-    info.iterations = job.rec.iterations;
-    info.gp_seconds = job.rec.gp_seconds;
-    info.dp_hpwl = job.rec.dp_hpwl;
-    info.legalized = job.rec.legalized;
-    info.error = job.rec.error;
-    journal_append_locked(JournalEvent::kFinish, job.rec.id,
-                          encode_finish(info));
-  }
+}
+
+void PlacementServer::finish_job_locked(Job& job, JobState state) {
+  if (job.rec.state == JobState::kRunning) --running_;
+  job.rec.state = state;
+  job.rec.finished_s = log::elapsed_seconds();
+  job.rec.events_dropped = job.dropped;
+  count_terminal_locked(state);
+  // Terminal transition → journal, so a restart restores this job straight
+  // into the result store instead of re-running it.
+  journal_append_locked(JournalEvent::kFinish, job.rec.id,
+                        encode_finish(finish_info(job.rec)));
   // SLO accounting: latency histograms (percentiles derive from these) and
   // deadline misses. Queue wait / run are only meaningful for jobs that got
   // a worker slot; e2e covers every terminal job including queue-cancelled.
@@ -1332,23 +1324,9 @@ void PlacementServer::recover_from_journal() {
         // Already settled before the crash: restore the record verbatim (no
         // re-journal, no latency observation — those happened in the
         // previous process lifetime).
-        ref.rec.state = rj.finish.state;
-        ref.rec.stop_reason = rj.finish.stop_reason;
-        ref.rec.hpwl = rj.finish.hpwl;
-        ref.rec.overflow = rj.finish.overflow;
-        ref.rec.iterations = rj.finish.iterations;
-        ref.rec.gp_seconds = rj.finish.gp_seconds;
-        ref.rec.dp_hpwl = rj.finish.dp_hpwl;
-        ref.rec.legalized = rj.finish.legalized;
-        ref.rec.error = rj.finish.error;
+        apply_finish(rj.finish, &ref.rec);
         ref.rec.finished_s = ref.rec.submitted_s;
-        switch (ref.rec.state) {
-          case JobState::kDone: ++completed_; break;
-          case JobState::kCancelled: ++cancelled_; break;
-          case JobState::kFailed: ++failed_; break;
-          case JobState::kShed: ++shed_; break;
-          default: break;
-        }
+        count_terminal_locked(ref.rec.state);
         if (ref.rec.state == JobState::kDone && ref.rec.spec.dedup &&
             ref.rec.spec.design_hash != 0) {
           // Restored successful results keep serving dedup hits: the cache

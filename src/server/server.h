@@ -308,6 +308,8 @@ class PlacementServer {
   void worker_loop();
   void run_job(Job& job, std::size_t leased_threads);
   void finish_job_locked(Job& job, JobState state);
+  /// Books one terminal `state` into completed_/cancelled_/failed_/shed_.
+  void count_terminal_locked(JobState state);
   void evict_terminal_locked();
   void publish_job_metrics(const JobRecord& rec);
 

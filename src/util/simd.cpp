@@ -272,37 +272,6 @@ void conj_scale(double* d, std::size_t n, double scale) {
   for (std::size_t i = 0; i < n; ++i) data[i] = std::conj(data[i]) * scale;
 }
 
-// DCT glue, expressed in std::complex exactly as the historical dct()/idct()
-// loop bodies so the scalar backend stays bitwise-identical.
-void dct_pack(const double* x, double* vd, std::size_t n) {
-  auto* v = reinterpret_cast<std::complex<double>*>(vd);
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    v[i] = std::complex<double>(x[2 * i], 0.0);
-    v[n - 1 - i] = std::complex<double>(x[2 * i + 1], 0.0);
-  }
-}
-void dct_rotate(const double* vd, const double* phd, double* x,
-                std::size_t n) {
-  const auto* v = reinterpret_cast<const std::complex<double>*>(vd);
-  const auto* ph = reinterpret_cast<const std::complex<double>*>(phd);
-  for (std::size_t k = 0; k < n; ++k) x[k] = (v[k] * ph[k]).real();
-}
-void idct_pretwiddle(const double* x, const double* phd, double* vd,
-                     std::size_t n) {
-  auto* v = reinterpret_cast<std::complex<double>*>(vd);
-  const auto* ph = reinterpret_cast<const std::complex<double>*>(phd);
-  for (std::size_t k = 1; k < n; ++k) {
-    v[k] = std::conj(ph[k]) * std::complex<double>(x[k], -x[n - k]);
-  }
-}
-void idct_unpack(const double* vd, double* x, std::size_t n) {
-  const auto* v = reinterpret_cast<const std::complex<double>*>(vd);
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    x[2 * i] = v[i].real();
-    x[2 * i + 1] = v[n - 1 - i].real();
-  }
-}
-
 // ---- plan-fused DCT passes (fft/plan.h) -----------------------------------
 // Expression order mirrors the AVX2 lane ops exactly — single-rounded
 // mul/add/sub/addsub chains, no FMA — so the two backends are bitwise-
@@ -536,10 +505,6 @@ const Kernels& scalar_kernels() {
       .density_gather = scalar::density_gather,
       .fft_pass = scalar::fft_pass,
       .conj_scale = scalar::conj_scale,
-      .dct_pack = scalar::dct_pack,
-      .dct_rotate = scalar::dct_rotate,
-      .idct_pretwiddle = scalar::idct_pretwiddle,
-      .idct_unpack = scalar::idct_unpack,
       .plan_fwd_head = scalar::plan_fwd_head,
       .plan_inv_head = scalar::plan_inv_head,
       .plan_fwd_tail = scalar::plan_fwd_tail,

@@ -204,19 +204,6 @@ struct Kernels {
   /// d[i] = conj(d[i])·scale over n complex values (the ifft wrapper).
   void (*conj_scale)(double* d, std::size_t n, double scale);
 
-  // ---- DCT glue (Makhoul reorder/twiddle; v, ph interleaved complex) ----
-  /// v[i] = (x[2i], 0), v[n−1−i] = (x[2i+1], 0) for i < n/2 (pre-pack).
-  void (*dct_pack)(const double* x, double* v, std::size_t n);
-  /// x[k] = Re(v[k]·ph[k]) for k < n (post-rotate).
-  void (*dct_rotate)(const double* v, const double* ph, double* x,
-                     std::size_t n);
-  /// v[k] = conj(ph[k])·(x[k], −x[n−k]) for 1 ≤ k < n (idct pre-twiddle;
-  /// the caller seeds v[0]).
-  void (*idct_pretwiddle)(const double* x, const double* ph, double* v,
-                          std::size_t n);
-  /// x[2i] = Re(v[i]), x[2i+1] = Re(v[n−1−i]) for i < n/2 (idct unpack).
-  void (*idct_unpack)(const double* v, double* x, std::size_t n);
-
   // ---- plan-fused DCT passes (fft/plan.h; two real sequences per complex
   //      FFT, sequences a and b read/written at element `stride`) ----
   /// Forward head: z[j] = (a[perm[j]·stride], b[perm[j]·stride]) — the

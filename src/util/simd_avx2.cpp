@@ -787,97 +787,6 @@ XP_TGT void fft_pass(double* d, const double* tw, std::size_t n,
   }
 }
 
-// ---- DCT glue ----
-
-XP_TGT void dct_pack(const double* x, double* v, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 <= n / 2; i += 2) {
-    // x4 = (x[2i], x[2i+1], x[2i+2], x[2i+3]) = (a0, b0, a1, b1).
-    const __m256d x4 = _mm256_loadu_pd(x + 2 * i);
-    // Front of v: (a0, 0, a1, 0) at complex slots i, i+1.
-    _mm256_storeu_pd(v + 2 * i, _mm256_unpacklo_pd(x4, zero));
-    // Back of v: slots n-2-i, n-1-i hold (b1, 0, b0, 0).
-    const __m256d odd = _mm256_unpackhi_pd(x4, zero);  // (b0, 0, b1, 0)
-    _mm256_storeu_pd(v + 2 * (n - 2 - i),
-                     _mm256_permute2f128_pd(odd, odd, 0x01));
-  }
-  for (; i < n / 2; ++i) {
-    v[2 * i] = x[2 * i];
-    v[2 * i + 1] = 0.0;
-    v[2 * (n - 1 - i)] = x[2 * i + 1];
-    v[2 * (n - 1 - i) + 1] = 0.0;
-  }
-}
-
-XP_TGT void dct_rotate(const double* v, const double* ph, double* x,
-                       std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // Re(v·ph) per complex = vr·pr − vi·pi: multiply interleaved, then
-    // horizontally subtract pairs from two vectors (4 complexes per store).
-    const __m256d p0 = _mm256_mul_pd(_mm256_loadu_pd(v + 2 * k),
-                                     _mm256_loadu_pd(ph + 2 * k));
-    const __m256d p1 = _mm256_mul_pd(_mm256_loadu_pd(v + 2 * k + 4),
-                                     _mm256_loadu_pd(ph + 2 * k + 4));
-    // hsub lanes: (p0₀−p0₁, p1₀−p1₁, p0₂−p0₃, p1₂−p1₃) = (x_k, x_{k+2},
-    // x_{k+1}, x_{k+3}); permute back to order.
-    const __m256d h = _mm256_hsub_pd(p0, p1);
-    _mm256_storeu_pd(x + k, _mm256_permute4x64_pd(h, 0xD8));
-  }
-  for (; k < n; ++k) {
-    x[k] = v[2 * k] * ph[2 * k] - v[2 * k + 1] * ph[2 * k + 1];
-  }
-}
-
-XP_TGT void idct_pretwiddle(const double* x, const double* ph, double* v,
-                            std::size_t n) {
-  // v[k] = conj(ph[k])·(x[k], −x[n−k]) = (pr·a − pi·b, −pr·b − pi·a)
-  // with a = x[k], b = x[n−k]. Two complexes per vector round.
-  std::size_t k = 1;
-  for (; k + 2 <= n; k += 2) {
-    // a2 = (a_k, a_k, a_{k+1}, a_{k+1}); b2 likewise from the reversed end.
-    const __m128d alo = _mm_loadu_pd(x + k);          // (a_k, a_{k+1})
-    const __m128d bhi = _mm_loadu_pd(x + n - k - 1);  // (b_{k+1}, b_k)
-    const __m256d a2 = _mm256_permute4x64_pd(
-        _mm256_castpd128_pd256(alo), 0x50);  // (a_k, a_k, a_{k+1}, a_{k+1})
-    const __m256d b2 = _mm256_permute4x64_pd(
-        _mm256_castpd128_pd256(bhi), 0x05);  // (b_k, b_k, b_{k+1}, b_{k+1})
-    const __m256d p = _mm256_loadu_pd(ph + 2 * k);  // (pr, pi, pr', pi')
-    const __m256d pa = _mm256_mul_pd(p, a2);        // (pr·a, pi·a, …)
-    const __m256d pb = _mm256_mul_pd(p, b2);        // (pr·b, pi·b, …)
-    const __m256d pbs = _mm256_permute_pd(pb, 0x5);  // (pi·b, pr·b, …)
-    const __m256d pas = _mm256_permute_pd(pa, 0x5);  // (pi·a, pr·a, …)
-    const __m256d re = _mm256_sub_pd(pa, pbs);  // even lanes: pr·a − pi·b
-    const __m256d im = _mm256_sub_pd(
-        _mm256_setzero_pd(), _mm256_add_pd(pb, pas));  // even: −pr·b − pi·a
-    const __m256d ims = _mm256_permute_pd(im, 0x5);    // odd lanes hold im
-    _mm256_storeu_pd(v + 2 * k, _mm256_blend_pd(re, ims, 0xA));
-  }
-  for (; k < n; ++k) {
-    const double pr = ph[2 * k], pi = ph[2 * k + 1];
-    const double a = x[k], b = x[n - k];
-    v[2 * k] = pr * a - pi * b;
-    v[2 * k + 1] = -pr * b - pi * a;
-  }
-}
-
-XP_TGT void idct_unpack(const double* v, double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n / 2; i += 2) {
-    const __m256d front = _mm256_loadu_pd(v + 2 * i);
-    // back covers complex slots n-2-i, n-1-i; swap its halves so slot
-    // n-1-i comes first, then interleave the real lanes.
-    const __m256d back = _mm256_loadu_pd(v + 2 * (n - 2 - i));
-    const __m256d bsw = _mm256_permute2f128_pd(back, back, 0x01);
-    _mm256_storeu_pd(x + 2 * i, _mm256_unpacklo_pd(front, bsw));
-  }
-  for (; i < n / 2; ++i) {
-    x[2 * i] = v[2 * i];
-    x[2 * i + 1] = v[2 * (n - 1 - i)];
-  }
-}
-
 XP_TGT void conj_scale(double* d, std::size_t n, double scale) {
   const __m256d vs = _mm256_set_pd(-scale, scale, -scale, scale);
   std::size_t i = 0;
@@ -1178,10 +1087,6 @@ const Kernels* avx2_kernels_or_null() {
       .density_gather = avx2::density_gather,
       .fft_pass = avx2::fft_pass,
       .conj_scale = avx2::conj_scale,
-      .dct_pack = avx2::dct_pack,
-      .dct_rotate = avx2::dct_rotate,
-      .idct_pretwiddle = avx2::idct_pretwiddle,
-      .idct_unpack = avx2::idct_unpack,
       .plan_fwd_head = avx2::plan_fwd_head,
       .plan_inv_head = avx2::plan_inv_head,
       .plan_fwd_tail = avx2::plan_fwd_tail,

@@ -650,7 +650,7 @@ TEST(PlacementServerRecovery, CleanShutdownMarkerMakesTheNextStartClean) {
 
 TEST(PlacementServerRecovery, RestartRestoresTerminalRecordsVerbatim) {
   const fs::path state = fresh_dir("terminal_state");
-  double done_hpwl = 0.0;
+  JobRecord done;
   {
     ServerConfig cfg;
     cfg.max_concurrency = 1;
@@ -661,7 +661,7 @@ TEST(PlacementServerRecovery, RestartRestoresTerminalRecordsVerbatim) {
     const auto rec = srv.wait(out.id, 120.0);
     ASSERT_TRUE(rec.has_value());
     ASSERT_EQ(rec->state, JobState::kDone);
-    done_hpwl = rec->hpwl;
+    done = *rec;
   }
   // The destructor appended a clean marker (every job was terminal). Strip
   // it to simulate a kill that landed after the finish record but before the
@@ -686,7 +686,19 @@ TEST(PlacementServerRecovery, RestartRestoresTerminalRecordsVerbatim) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->state, JobState::kDone);
   EXPECT_TRUE(rec->recovered);
-  EXPECT_EQ(std::memcmp(&rec->hpwl, &done_hpwl, sizeof(double)), 0);
+  // Every journaled terminal field comes back bit for bit.
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  EXPECT_EQ(rec->stop_reason, done.stop_reason);
+  EXPECT_TRUE(same_bits(rec->hpwl, done.hpwl));
+  EXPECT_TRUE(same_bits(rec->overflow, done.overflow));
+  EXPECT_EQ(rec->iterations, done.iterations);
+  EXPECT_TRUE(same_bits(rec->gp_seconds, done.gp_seconds));
+  EXPECT_TRUE(same_bits(rec->dp_hpwl, done.dp_hpwl));
+  EXPECT_EQ(rec->legalized, done.legalized);
+  EXPECT_EQ(rec->error, done.error);
+  EXPECT_EQ(srv.stats().completed, 1u);
   srv.shutdown(true);
   fs::remove_all(state);
 }

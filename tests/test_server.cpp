@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,6 +197,22 @@ TEST(Protocol, EveryCommandRoundTrips) {
       EXPECT_EQ(out.timeout_s, 7.5);
     }
   }
+  // Every command's wire name parses back to it, and no two share a name.
+  std::set<std::string> names;
+  for (int i = 0; i <= static_cast<int>(Command::kPortfolioResult); ++i) {
+    const Command cmd = static_cast<Command>(i);
+    const std::string name = to_string(cmd);
+    EXPECT_NE(name, "?") << i;
+    EXPECT_TRUE(names.insert(name).second) << name;
+    Command parsed = Command::kStats;
+    ASSERT_TRUE(command_from_string(name, &parsed)) << name;
+    EXPECT_EQ(parsed, cmd) << name;
+  }
+  Command untouched = Command::kCancel;
+  EXPECT_FALSE(command_from_string("fly", &untouched));
+  EXPECT_FALSE(command_from_string("", &untouched));
+  EXPECT_FALSE(command_from_string("upload", &untouched));  // a client alias
+  EXPECT_EQ(untouched, Command::kCancel);
 }
 
 TEST(Protocol, RejectsBadRequests) {

@@ -26,8 +26,9 @@
 #include <vector>
 
 #include "core/placer.h"
-#include "fft/dct.h"
 #include "fft/fft.h"
+#include "fft/plan.h"
+#include "fft/reference.h"
 #include "io/generator.h"
 #include "ops/netlist_view.h"
 #include "telemetry/metrics.h"
@@ -647,60 +648,19 @@ TEST(SimdFft, FullRoundTripUnderEitherBackend) {
   simd::select("auto");
 }
 
-// ---------------- DCT glue ----------------
+// ---------------- DCT plan pass ----------------
 
-TEST(SimdFft, DctGlueKernelsMatchScalar) {
-  XP_REQUIRE_AVX2();
-  const simd::Kernels& ks = simd::scalar_kernels();
-  const simd::Kernels& ka = simd::avx2_kernels();
-  for (std::size_t n : {2u, 4u, 8u, 64u, 128u}) {
-    Rng rng(7 * n);
-    // Phases as dct.cpp builds them: e^{-iπk/(2N)}.
-    std::vector<std::complex<double>> ph(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const double ang = -3.14159265358979323846 * static_cast<double>(k) /
-                         (2.0 * static_cast<double>(n));
-      ph[k] = {std::cos(ang), std::sin(ang)};
-    }
-    const double* phd = reinterpret_cast<const double*>(ph.data());
-    std::vector<double> x(n);
-    for (auto& e : x) e = rng.uniform() - 0.5;
-
-    // Pack/unpack are pure data movement: bitwise equality.
-    std::vector<double> v_s(2 * n, -1.0), v_a(2 * n, -1.0);
-    ks.dct_pack(x.data(), v_s.data(), n);
-    ka.dct_pack(x.data(), v_a.data(), n);
-    ASSERT_EQ(std::memcmp(v_s.data(), v_a.data(), 2 * n * sizeof(double)), 0)
-        << "dct_pack n=" << n;
-
-    std::vector<double> u_s(n, 0.0), u_a(n, 0.0);
-    ks.idct_unpack(v_s.data(), u_s.data(), n);
-    ka.idct_unpack(v_s.data(), u_a.data(), n);
-    ASSERT_EQ(std::memcmp(u_s.data(), u_a.data(), n * sizeof(double)), 0)
-        << "idct_unpack n=" << n;
-
-    // Rotate/pre-twiddle multiply by phases: tolerance parity.
-    std::vector<double> vc(2 * n);
-    for (auto& e : vc) e = rng.uniform() - 0.5;
-    std::vector<double> r_s(n), r_a(n);
-    ks.dct_rotate(vc.data(), phd, r_s.data(), n);
-    ka.dct_rotate(vc.data(), phd, r_a.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(r_a[i], r_s[i], 1e-14) << "dct_rotate n=" << n;
-    }
-
-    std::vector<double> w_s(2 * n, 0.0), w_a(2 * n, 0.0);
-    ks.idct_pretwiddle(x.data(), phd, w_s.data(), n);
-    ka.idct_pretwiddle(x.data(), phd, w_a.data(), n);
-    for (std::size_t i = 2; i < 2 * n; ++i) {  // caller seeds slot 0
-      ASSERT_NEAR(w_a[i], w_s[i], 1e-14) << "idct_pretwiddle n=" << n;
-    }
-  }
+/// One 1-D transform of `x` on the plan engine: a single-row run_rows pass.
+std::vector<double> plan_1d(fft::Kind1D kind, std::vector<double> x) {
+  fft::PlanScratch scratch;
+  const fft::PassOp op{x.data(), x.data(), kind};
+  fft::run_rows(&op, 1, /*rows=*/1, x.size(), /*pool=*/nullptr, scratch);
+  return x;
 }
 
 TEST(SimdFft, DctRoundTripUnderEitherBackend) {
-  // dct→idct and idxst sign identity must hold under both backends, and the
-  // AVX2 transforms must match scalar within FFT rounding tolerance.
+  // dct→idct round trip and idxst against the naive reference must hold
+  // under both backends, and the AVX2 DCT must match scalar bit for bit.
   std::vector<double> ref_dct;
   for (const char* backend : {"scalar", "avx2"}) {
     if (std::strcmp(backend, "avx2") == 0 && !have_avx2()) continue;
@@ -708,20 +668,23 @@ TEST(SimdFft, DctRoundTripUnderEitherBackend) {
     Rng rng(3);
     std::vector<double> x(128);
     for (auto& e : x) e = rng.uniform() - 0.5;
-    std::vector<double> y = fft::dct(x);
+    const std::vector<double> y = plan_1d(fft::Kind1D::kDct, x);
     if (ref_dct.empty()) {
       ref_dct = y;
     } else {
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        EXPECT_NEAR(y[i], ref_dct[i], 1e-10) << i;
-      }
+      ASSERT_EQ(
+          std::memcmp(y.data(), ref_dct.data(), y.size() * sizeof(double)), 0);
     }
-    const std::vector<double> z = fft::idct(y);
+    const std::vector<double> z = plan_1d(fft::Kind1D::kIdct, y);
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_NEAR(z[i], x[i], 1e-10) << backend << " " << i;
     }
-    const std::vector<double> s = fft::idxst(y);
+    const std::vector<double> s = plan_1d(fft::Kind1D::kIdxst, y);
+    const std::vector<double> s_ref = fft::reference::idxst_naive_1d(y);
     ASSERT_EQ(s.size(), x.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      EXPECT_NEAR(s[i], s_ref[i], 1e-10) << backend << " " << i;
+    }
   }
   simd::select("auto");
 }
