@@ -45,12 +45,15 @@
 #   faultinject guardian/recovery tests (ctest -L faultinject) plus an
 #               end-to-end XPLACE_FAULT matrix over the place_bookshelf demo:
 #               every injected fault must be recovered (exit 0, legal result)
-#   asan-ubsan  -DXPLACE_SANITIZE=address,undefined build; the recovery paths
-#               (rollback, checkpoint restore, fault injection) are exactly
-#               where stale pointers/uninitialized reads would hide, and the
-#               SIMD kernels' masked heads/tails are exactly where
-#               out-of-bounds lanes would hide, so the guardian and SIMD
-#               parity suites run memory-clean under ASan+UBSan
+#   asan-ubsan  -DXPLACE_SANITIZE=address,undefined,float-cast-overflow build
+#               (GCC leaves float-cast-overflow out of `undefined`); the
+#               recovery paths (rollback, checkpoint restore, fault injection)
+#               are exactly where stale pointers/uninitialized reads would
+#               hide, the SIMD kernels' masked heads/tails are exactly where
+#               out-of-bounds lanes would hide, and the input surfaces (the
+#               JSON-lines parser, Bookshelf reader, XPCK and journal bytes;
+#               ctest -L input) are where hostile bytes arrive, so those
+#               suites run memory-clean under ASan+UBSan
 #   tsan        -DXPLACE_SANITIZE=thread build, shared-state tests
 #               (ctest -L concurrency) plus the end-to-end demo on the
 #               threadpool backend — the full GP/LG/DP flow must be
@@ -524,8 +527,8 @@ run_faultinject() {
 }
 
 run_asan_ubsan() {
-  build build-asan -DXPLACE_SANITIZE=address,undefined
-  ctest --test-dir build-asan --output-on-failure -L "faultinject|simd"
+  build build-asan -DXPLACE_SANITIZE=address,undefined,float-cast-overflow
+  ctest --test-dir build-asan --output-on-failure -L "faultinject|simd|input"
 }
 
 run_tsan() {

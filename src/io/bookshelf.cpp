@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace xplace::io {
@@ -266,17 +267,6 @@ AuxComponents parse_aux_components(const std::string& aux_path) {
   return out;
 }
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a64_accum(std::uint64_t h, const char* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 /// Streams a whole file through the running FNV-1a state. `required` controls
 /// whether an unreadable file throws or is skipped (matches the parser's
 /// tolerance for a missing .wts).
@@ -288,7 +278,7 @@ std::uint64_t hash_file_bytes(std::uint64_t h, const std::string& path, bool req
   }
   char buf[1 << 16];
   while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    h = fnv1a64_accum(h, buf, static_cast<std::size_t>(in.gcount()));
+    h = util::fnv1a64(buf, static_cast<std::size_t>(in.gcount()), h);
   }
   return h;
 }
@@ -442,7 +432,7 @@ void write_bookshelf(const db::Database& db, const std::string& directory,
 std::uint64_t hash_bookshelf_aux(const std::string& aux_path) {
   // Hash the aux bytes first (it pins the component file *names*), then each
   // component's bytes in a fixed order so the hash is path-layout independent.
-  std::uint64_t h = hash_file_bytes(kFnvBasis, aux_path, /*required=*/true);
+  std::uint64_t h = hash_file_bytes(util::kFnvBasis, aux_path, /*required=*/true);
   const AuxComponents comp = parse_aux_components(aux_path);
   h = hash_file_bytes(h, comp.nodes, /*required=*/true);
   h = hash_file_bytes(h, comp.nets, /*required=*/true);

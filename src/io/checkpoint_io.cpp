@@ -2,133 +2,46 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <vector>
+
+#include "util/bytes.h"
 
 namespace xplace::io {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4B435058;  // "XPCK" little-endian
 
-std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
+// The XPCK body (between the version and the checksum), one list for the
+// writer and the reader.
+template <typename Ar>
+void fields(Ar& ar, core::StateBlob& blob) {
+  ar.count(blob.arrays, 12);  // u32 name length + u64 float count, at least
+  for (auto& [name, v] : blob.arrays) {
+    ar(name);
+    ar.floats(v);
   }
-  return h;
+  ar.count(blob.scalars, 12);  // u32 name length + f64
+  for (auto& [name, v] : blob.scalars) ar(name, v);
 }
 
-// ---- encoding ----
-
-template <typename T>
-void put(std::string& out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out.append(buf, sizeof(T));
+template <typename Ar>
+void fields(Ar& ar, core::RunCheckpoint& ck) {
+  ar(ck.design, ck.n_total, ck.n_movable, ck.optimizer_kind, ck.next_iter,
+     ck.gamma, ck.overflow, ck.best_hpwl, ck.hpwl);
+  fields(ar, ck.optimizer);
+  fields(ar, ck.scheduler);
+  fields(ar, ck.engine);
 }
-
-void put_str(std::string& out, const std::string& s) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-void put_blob(std::string& out, const core::StateBlob& blob) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(blob.arrays.size()));
-  for (const auto& [name, v] : blob.arrays) {
-    put_str(out, name);
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(v.size()));
-    out.append(reinterpret_cast<const char*>(v.data()),
-               v.size() * sizeof(float));
-  }
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(blob.scalars.size()));
-  for (const auto& [name, v] : blob.scalars) {
-    put_str(out, name);
-    put<double>(out, v);
-  }
-}
-
-// ---- decoding (bounds-checked cursor) ----
-
-class Cursor {
- public:
-  Cursor(const std::string& path, const std::string& buf)
-      : path_(path), buf_(buf) {}
-
-  template <typename T>
-  T get() {
-    require(sizeof(T));
-    T v;
-    std::memcpy(&v, buf_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::string get_str() {
-    const std::uint32_t n = get<std::uint32_t>();
-    require(n);
-    std::string s(buf_.data() + pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  core::StateBlob get_blob() {
-    core::StateBlob blob;
-    const std::uint32_t na = get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < na; ++i) {
-      std::string name = get_str();
-      const std::uint64_t count = get<std::uint64_t>();
-      require(count * sizeof(float));
-      std::vector<float> v(static_cast<std::size_t>(count));
-      std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(float));
-      pos_ += v.size() * sizeof(float);
-      blob.put_array(std::move(name), std::move(v));
-    }
-    const std::uint32_t ns = get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < ns; ++i) {
-      std::string name = get_str();
-      blob.put_scalar(std::move(name), get<double>());
-    }
-    return blob;
-  }
-
-  std::size_t pos() const { return pos_; }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error(path_ + ": " + msg);
-  }
-
- private:
-  void require(std::uint64_t n) {
-    if (pos_ + n > buf_.size()) fail("truncated checkpoint");
-  }
-
-  const std::string& path_;
-  const std::string& buf_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
 void write_checkpoint(const core::RunCheckpoint& ck, const std::string& path) {
-  std::string payload;
-  put<std::uint32_t>(payload, kMagic);
-  put<std::uint32_t>(payload, core::RunCheckpoint::kVersion);
-  put_str(payload, ck.design);
-  put<std::uint64_t>(payload, ck.n_total);
-  put<std::uint64_t>(payload, ck.n_movable);
-  put<std::int32_t>(payload, ck.optimizer_kind);
-  put<std::int32_t>(payload, ck.next_iter);
-  put<double>(payload, ck.gamma);
-  put<double>(payload, ck.overflow);
-  put<double>(payload, ck.best_hpwl);
-  put<double>(payload, ck.hpwl);
-  put_blob(payload, ck.optimizer);
-  put_blob(payload, ck.scheduler);
-  put_blob(payload, ck.engine);
-  put<std::uint64_t>(payload, fnv1a(payload.data(), payload.size()));
+  util::ByteWriter w;
+  w(kMagic, core::RunCheckpoint::kVersion);
+  fields(w, const_cast<core::RunCheckpoint&>(ck));  // the writer only reads
+  w(util::fnv1a64(w.str().data(), w.str().size()));
+  const std::string payload = w.take();
 
   const std::string tmp = path + ".tmp";
   {
@@ -146,37 +59,30 @@ void write_checkpoint(const core::RunCheckpoint& ck, const std::string& path) {
 core::RunCheckpoint read_checkpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open checkpoint '" + path + "'");
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  const std::string buf((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const auto fail = [&path](const std::string& msg) {
+    throw std::runtime_error(path + ": " + msg);
+  };
 
-  Cursor c(path, buf);
-  if (buf.size() < sizeof(std::uint64_t)) c.fail("truncated checkpoint");
-  if (c.get<std::uint32_t>() != kMagic) {
-    c.fail("not an Xplace checkpoint (bad magic)");
-  }
-  const std::uint32_t version = c.get<std::uint32_t>();
+  util::ByteReader r(buf);
+  std::uint32_t magic = 0, version = 0;
+  r(magic, version);
+  if (!r.ok()) fail("truncated checkpoint");
+  if (magic != kMagic) fail("not an Xplace checkpoint (bad magic)");
   if (version != core::RunCheckpoint::kVersion) {
-    c.fail("unsupported checkpoint version " + std::to_string(version) +
-           " (this build reads version " +
-           std::to_string(core::RunCheckpoint::kVersion) + ")");
+    fail("unsupported checkpoint version " + std::to_string(version) +
+         " (this build reads version " +
+         std::to_string(core::RunCheckpoint::kVersion) + ")");
   }
   core::RunCheckpoint ck;
-  ck.design = c.get_str();
-  ck.n_total = c.get<std::uint64_t>();
-  ck.n_movable = c.get<std::uint64_t>();
-  ck.optimizer_kind = c.get<std::int32_t>();
-  ck.next_iter = c.get<std::int32_t>();
-  ck.gamma = c.get<double>();
-  ck.overflow = c.get<double>();
-  ck.best_hpwl = c.get<double>();
-  ck.hpwl = c.get<double>();
-  ck.optimizer = c.get_blob();
-  ck.scheduler = c.get_blob();
-  ck.engine = c.get_blob();
-  const std::size_t payload_end = c.pos();
-  const std::uint64_t stored_sum = c.get<std::uint64_t>();
-  if (stored_sum != fnv1a(buf.data(), payload_end)) {
-    c.fail("checkpoint checksum mismatch (corrupted file)");
+  fields(r, ck);
+  const std::size_t payload_end = r.pos();
+  std::uint64_t stored_sum = 0;
+  r(stored_sum);
+  if (!r.ok()) fail("truncated checkpoint");
+  if (stored_sum != util::fnv1a64(buf.data(), payload_end)) {
+    fail("checkpoint checksum mismatch (corrupted file)");
   }
   return ck;
 }

@@ -6,13 +6,12 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <numeric>
 #include <vector>
 
 #include "io/bookshelf.h"
-#include "io/journal.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -312,12 +311,10 @@ db::Database generate(const GeneratorSpec& spec) {
 std::uint64_t demo_content_hash(std::size_t cells, std::uint64_t seed) {
   // Tagged key so demo hashes live in a different space than file-byte
   // hashes ("demo" prefix + the two little-endian u64 generator inputs).
-  char key[4 + 8 + 8];
-  std::memcpy(key, "demo", 4);
-  const std::uint64_t c = static_cast<std::uint64_t>(cells);
-  std::memcpy(key + 4, &c, 8);
-  std::memcpy(key + 12, &seed, 8);
-  return fnv1a64(key, sizeof(key));
+  util::ByteWriter key;
+  key.append("demo");
+  key(static_cast<std::uint64_t>(cells), seed);
+  return util::fnv1a64(key.str().data(), key.str().size());
 }
 
 std::shared_ptr<const db::DesignSnapshot> make_demo_snapshot(std::size_t cells,

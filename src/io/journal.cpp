@@ -10,6 +10,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace xplace::io {
@@ -19,32 +20,23 @@ namespace {
 constexpr std::uint32_t kJournalMagic = 0x4C4A5058;  // "XPJL" little-endian
 constexpr std::uint32_t kJournalVersion = 1;
 
-template <typename T>
-void put(std::string& out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-template <typename T>
-bool get_at(const std::string& buf, std::size_t pos, T* out) {
-  if (pos + sizeof(T) > buf.size()) return false;
-  std::memcpy(out, buf.data() + pos, sizeof(T));
-  return true;
-}
+/// u32 type | u64 job_id | f64 time_s: the body bytes before the payload.
+constexpr std::uint32_t kBodyHeaderBytes = 20;
 
 std::string frame_record(const JournalRecord& rec) {
-  std::string body;
-  put<std::uint32_t>(body, rec.type);
-  put<std::uint64_t>(body, rec.job_id);
-  put<double>(body, rec.time_s);
-  body.append(rec.payload);
+  util::ByteWriter w;
+  w(static_cast<std::uint32_t>(kBodyHeaderBytes + rec.payload.size()),
+    rec.type, rec.job_id, rec.time_s);
+  w.append(rec.payload);
+  const std::string_view body = std::string_view(w.str()).substr(4);
+  w(util::fnv1a64(body.data(), body.size()));
+  return w.take();
+}
 
-  std::string frame;
-  put<std::uint32_t>(frame, static_cast<std::uint32_t>(body.size()));
-  frame.append(body);
-  put<std::uint64_t>(frame, fnv1a64(body.data(), body.size()));
-  return frame;
+std::string journal_header() {
+  util::ByteWriter w;
+  w(kJournalMagic, kJournalVersion);
+  return w.take();
 }
 
 bool write_fully(int fd, const char* data, std::size_t n) {
@@ -61,15 +53,6 @@ bool write_fully(int fd, const char* data, std::size_t n) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // ---------------------------------------------------------------------------
 // JournalWriter
@@ -98,9 +81,7 @@ bool JournalWriter::open(const std::string& path, bool truncate) {
   records_ = 0;
   dead_ = false;
   if (size_ == 0) {
-    std::string header;
-    put<std::uint32_t>(header, kJournalMagic);
-    put<std::uint32_t>(header, kJournalVersion);
+    const std::string header = journal_header();
     if (!write_fully(fd_, header.data(), header.size()) || ::fsync(fd_) != 0) {
       close();
       return false;
@@ -153,8 +134,10 @@ JournalReplay read_journal(const std::string& path) {
                   std::istreambuf_iterator<char>());
   out.bytes_scanned = buf.size();
 
+  util::ByteReader r(buf);
   std::uint32_t magic = 0, version = 0;
-  if (!get_at(buf, 0, &magic) || !get_at(buf, 4, &version)) {
+  r(magic, version);
+  if (!r.ok()) {
     // Shorter than a header: a journal whose very first write was torn.
     out.torn_tail = !buf.empty();
     return out;
@@ -167,37 +150,30 @@ JournalReplay read_journal(const std::string& path) {
                              std::to_string(version));
   }
 
-  std::size_t pos = 8;
-  while (pos < buf.size()) {
+  while (r.remaining() > 0) {
     std::uint32_t body_len = 0;
-    if (!get_at(buf, pos, &body_len)) {
-      out.torn_tail = true;  // partial length field
-      break;
-    }
-    if (body_len < sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-                       sizeof(double) ||
-        body_len > kMaxJournalRecordBytes) {
+    r(body_len);
+    if (r.ok() &&
+        (body_len < kBodyHeaderBytes || body_len > kMaxJournalRecordBytes)) {
       out.corrupt = true;  // structurally impossible frame
       break;
     }
-    const std::size_t body_pos = pos + sizeof(std::uint32_t);
-    const std::size_t sum_pos = body_pos + body_len;
+    const char* body = r.take(body_len);
     std::uint64_t stored_sum = 0;
-    if (!get_at(buf, sum_pos, &stored_sum)) {
-      out.torn_tail = true;  // frame cut off mid-body or mid-checksum
+    r(stored_sum);
+    if (!r.ok()) {
+      out.torn_tail = true;  // frame cut off in its length, body or checksum
       break;
     }
-    if (stored_sum != fnv1a64(buf.data() + body_pos, body_len)) {
+    if (stored_sum != util::fnv1a64(body, body_len)) {
       out.corrupt = true;
       break;
     }
     JournalRecord rec;
-    get_at(buf, body_pos, &rec.type);
-    get_at(buf, body_pos + 4, &rec.job_id);
-    get_at(buf, body_pos + 12, &rec.time_s);
-    rec.payload.assign(buf, body_pos + 20, body_len - 20);
+    util::ByteReader b(body, body_len);
+    b(rec.type, rec.job_id, rec.time_s);
+    rec.payload.assign(body + kBodyHeaderBytes, body_len - kBodyHeaderBytes);
     out.records.push_back(std::move(rec));
-    pos = sum_pos + sizeof(std::uint64_t);
   }
   return out;
 }
@@ -208,9 +184,7 @@ bool rewrite_journal(const std::string& path,
   {
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) return false;
-    std::string payload;
-    put<std::uint32_t>(payload, kJournalMagic);
-    put<std::uint32_t>(payload, kJournalVersion);
+    std::string payload = journal_header();
     for (const JournalRecord& rec : records) payload.append(frame_record(rec));
     const bool ok = write_fully(fd, payload.data(), payload.size()) &&
                     ::fsync(fd) == 0;

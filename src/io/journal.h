@@ -26,16 +26,11 @@
 // subsequent append fail cleanly (the ENOSPC story).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace xplace::io {
-
-/// FNV-1a 64-bit over `n` bytes — the checksum shared by the XPCK checkpoint
-/// format and the journal frames.
-std::uint64_t fnv1a64(const char* data, std::size_t n);
 
 /// One journal frame. `type` / `payload` semantics are the caller's;
 /// `time_s` is wall-clock (CLOCK_REALTIME) seconds so replay after a restart

@@ -74,6 +74,11 @@ struct JobSpec {
 /// client bug (the generator would try to allocate tens of GiB).
 inline constexpr long kMaxDemoCells = 5'000'000;
 
+/// grid admission bound: 8x the default. The spectral solve needs a power of
+/// two >= 2, and one 32768^2 density map alone would be 8 GiB — a run-time
+/// bad_alloc the supervisor would retry.
+inline constexpr int kMaxGrid = 1024;
+
 /// Spec validation shared by the protocol parser and the in-process
 /// PlacementServer::submit path. Returns "" when valid. This is the fix for
 /// `submit` silently preferring `aux` when both `aux` and `demo_cells` are
@@ -96,7 +101,10 @@ inline std::string validate_spec(const JobSpec& s) {
            " admission bound";
   }
   if (s.max_iters <= 0) return "\"max_iters\" must be positive";
-  if (s.grid <= 0) return "\"grid\" must be positive";
+  if (s.grid < 2 || s.grid > kMaxGrid || (s.grid & (s.grid - 1)) != 0) {
+    return "\"grid\" must be a power of two in [2, " +
+           std::to_string(kMaxGrid) + "]";
+  }
   if (s.deadline_s < 0.0) return "\"deadline_s\" must be non-negative";
   if (s.target_density < 0.0 || s.target_density > 1.0) {
     return "\"target_density\" must be in (0, 1]";

@@ -1,7 +1,10 @@
 #include "server/protocol.h"
 
 #include <cmath>
+#include <limits>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 namespace xplace::server {
 
@@ -136,52 +139,143 @@ bool needs_id(Command cmd) {
          cmd == Command::kPortfolioResult;
 }
 
-/// Non-negative integral number field; false (with message) on bad type or
-/// a fractional/negative value.
-bool get_uint(const json::Value& obj, std::string_view key,
-              std::uint64_t* out, std::string* error) {
+/// Reads `obj[key]` into *out when the key is present, by T's JSON kind: a
+/// string, a bool, a finite number ("1e999" parses as inf), or an integral
+/// number inside T's range (a double outside it cannot be converted). On a
+/// mismatch returns false with a message naming the field; an absent key
+/// keeps *out.
+template <typename T>
+bool read_field(const json::Value& obj, std::string_view key, T* out,
+                std::string* error) {
   const json::Value* v = obj.find(key);
-  if (v == nullptr) return true;  // keep default
-  if (!v->is_number() || v->number() < 0 ||
-      v->number() != std::floor(v->number())) {
-    *error = std::string(key) + " must be a non-negative integer";
+  if (v == nullptr) return true;
+  const auto fail = [&](const std::string& what) {
+    *error = "\"" + std::string(key) + "\" must be " + what;
     return false;
+  };
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (!v->is_string()) return fail("a string");
+    *out = v->str();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!v->is_bool()) return fail("true or false");
+    *out = v->bool_value();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (!v->is_number() || !std::isfinite(v->number())) {
+      return fail("a finite number");
+    }
+    *out = v->number();
+  } else {
+    using Lim = std::numeric_limits<T>;
+    const double x = v->number();
+    // [min, 2^digits) is exactly T's range, and both bounds are exact doubles.
+    if (!v->is_number() || x != std::floor(x) ||
+        x < static_cast<double>(Lim::min()) ||
+        x >= std::ldexp(1.0, Lim::digits)) {
+      return fail("an integer in [" + std::to_string(Lim::min()) + ", " +
+                  std::to_string(Lim::max()) + "]");
+    }
+    *out = static_cast<T>(x);
   }
-  *out = static_cast<std::uint64_t>(v->number());
   return true;
 }
 
-/// Reads every JobSpec field present on `obj` into *s, leaving absent fields
+/// How a JobSpec field travels: a plain value, a design source (batch
+/// configs may not name one), or a design source sent as a hex content hash.
+enum class Wire { kValue, kSource, kHash };
+
+struct SpecField {
+  const char* name;
+  std::variant<std::string JobSpec::*, bool JobSpec::*, int JobSpec::*,
+               long JobSpec::*, std::uint64_t JobSpec::*, double JobSpec::*>
+      member;
+  Wire wire = Wire::kValue;
+};
+
+/// Every JobSpec field on the wire, the one list the parser and the builder
+/// both walk. (batch_id is server-assigned and never travels.)
+const SpecField kSpecFields[] = {
+    {"aux", &JobSpec::aux, Wire::kSource},
+    {"demo_cells", &JobSpec::demo_cells, Wire::kSource},
+    {"demo_seed", &JobSpec::demo_seed},
+    {"design", &JobSpec::design_hash, Wire::kHash},
+    {"max_iters", &JobSpec::max_iters},
+    {"grid", &JobSpec::grid},
+    {"seed", &JobSpec::seed},
+    {"target_density", &JobSpec::target_density},
+    {"lambda_init", &JobSpec::lambda_init},
+    {"init_noise_scale", &JobSpec::init_noise_scale},
+    {"gamma_scale", &JobSpec::gamma_scale},
+    {"lambda_scale", &JobSpec::lambda_scale},
+    {"threads", &JobSpec::threads},
+    {"full_flow", &JobSpec::full_flow},
+    {"priority", &JobSpec::priority},
+    {"deadline_s", &JobSpec::deadline_s},
+    {"label", &JobSpec::label},
+    {"dedup", &JobSpec::dedup},
+};
+
+/// Reads every spec field present on `obj` into *spec, leaving absent fields
 /// at their current values — which is what lets submit-batch configs start
-/// from the request's base fields and override per config.
-bool parse_spec_fields(const json::Value& obj, JobSpec* s, std::string* error) {
-  JobSpec& spec = *s;
-  if (obj.has("aux")) spec.aux = obj.get_string("aux");
-  spec.demo_cells =
-      static_cast<long>(obj.get_number("demo_cells", spec.demo_cells));
-  if (!get_uint(obj, "demo_seed", &spec.demo_seed, error)) return false;
-  if (const json::Value* v = obj.find("design"); v != nullptr) {
-    if (!v->is_string() || !hex_to_hash(v->str(), &spec.design_hash)) {
-      *error = "\"design\" must be a hex content hash";
+/// from the request's base fields and override per config. With `sources`
+/// false, a design-source field is an error.
+bool parse_spec_fields(const json::Value& obj, bool sources, JobSpec* spec,
+                       std::string* error) {
+  for (const SpecField& f : kSpecFields) {
+    if (!obj.has(f.name)) continue;
+    if (!sources && f.wire != Wire::kValue) {
+      *error = "\"" + std::string(f.name) +
+               "\" names a design source, but the batch's design is shared";
       return false;
     }
+    const bool ok = std::visit(
+        [&](auto JobSpec::*m) {
+          if constexpr (std::is_same_v<std::remove_cvref_t<decltype(spec->*m)>,
+                                       std::uint64_t>) {
+            if (f.wire == Wire::kHash) {
+              const json::Value* v = obj.find(f.name);
+              if (v->is_string() && hex_to_hash(v->str(), &(spec->*m))) {
+                return true;
+              }
+              *error = "\"" + std::string(f.name) +
+                       "\" must be a hex content hash";
+              return false;
+            }
+          }
+          return read_field(obj, f.name, &(spec->*m), error);
+        },
+        f.member);
+    if (!ok) return false;
   }
-  spec.max_iters = static_cast<int>(obj.get_number("max_iters", spec.max_iters));
-  spec.grid = static_cast<int>(obj.get_number("grid", spec.grid));
-  if (!get_uint(obj, "seed", &spec.seed, error)) return false;
-  spec.target_density = obj.get_number("target_density", spec.target_density);
-  spec.lambda_init = obj.get_number("lambda_init", spec.lambda_init);
-  spec.init_noise_scale =
-      obj.get_number("init_noise_scale", spec.init_noise_scale);
-  spec.gamma_scale = obj.get_number("gamma_scale", spec.gamma_scale);
-  spec.lambda_scale = obj.get_number("lambda_scale", spec.lambda_scale);
-  spec.threads = static_cast<int>(obj.get_number("threads", spec.threads));
-  spec.full_flow = obj.get_bool("full_flow", spec.full_flow);
-  spec.priority = static_cast<int>(obj.get_number("priority", spec.priority));
-  spec.deadline_s = obj.get_number("deadline_s", spec.deadline_s);
-  if (obj.has("label")) spec.label = obj.get_string("label");
-  spec.dedup = obj.get_bool("dedup", spec.dedup);
   return true;
+}
+
+/// Appends every spec field whose value differs from `base`'s: the parser
+/// starts from the same base, so an omitted field reads back equal.
+void append_spec_fields(json::Object* o, const JobSpec& s,
+                        const JobSpec& base) {
+  for (const SpecField& f : kSpecFields) {
+    std::visit(
+        [&](auto JobSpec::*m) {
+          if (s.*m == base.*m) return;
+          if constexpr (std::is_same_v<std::remove_cvref_t<decltype(s.*m)>,
+                                       std::uint64_t>) {
+            if (f.wire == Wire::kHash) {
+              o->emplace_back(f.name, hash_to_hex(s.*m));
+              return;
+            }
+          }
+          o->emplace_back(f.name, json::Value(s.*m));
+        },
+        f.member);
+  }
+}
+
+/// The spec a submit-batch starts from: dedup is on for a sweep (the whole
+/// point of its cache) and off for a plain submit unless asked.
+JobSpec batch_base() {
+  JobSpec base;
+  base.dedup = true;
+  return base;
 }
 
 }  // namespace
@@ -208,35 +302,33 @@ bool parse_request(const std::string& line, Request* out, std::string* error) {
     return false;
   }
 
-  if (!get_uint(root, "id", &req.id, error)) return false;
+  if (!read_field(root, "id", &req.id, error)) return false;
   if (needs_id(req.cmd) && !root.has("id")) {
     *error = std::string(to_string(req.cmd)) + " requires \"id\"";
     return false;
   }
-  if (!get_uint(root, "from", &req.from_seq, error)) return false;
-  req.wait = root.get_bool("wait", false);
-  req.timeout_s = root.get_number("timeout_s", req.timeout_s);
-  req.drain = root.get_bool("drain", true);
+  if (!read_field(root, "from", &req.from_seq, error) ||
+      !read_field(root, "wait", &req.wait, error) ||
+      !read_field(root, "timeout_s", &req.timeout_s, error) ||
+      !read_field(root, "drain", &req.drain, error)) {
+    return false;
+  }
 
   if (req.cmd == Command::kSubmit || req.cmd == Command::kUploadDesign ||
       req.cmd == Command::kSubmitBatch ||
       req.cmd == Command::kSubmitPortfolio) {
-    if (!parse_spec_fields(root, &req.spec, error)) return false;
-  }
-  if (req.cmd == Command::kSubmit) {
+    if (req.cmd == Command::kSubmitBatch) req.spec = batch_base();
+    if (!parse_spec_fields(root, /*sources=*/true, &req.spec, error)) {
+      return false;
+    }
+    if (req.cmd == Command::kUploadDesign && req.spec.design_hash != 0) {
+      *error = "upload-design takes \"aux\" or \"demo_cells\", not "
+               "\"design\"";
+      return false;
+    }
     // One validation for both entry points: the wire path here, the
     // in-process PlacementServer::submit path inside the server — so an
     // ambiguous source (aux AND demo_cells) is rejected everywhere.
-    if (std::string verr = validate_spec(req.spec); !verr.empty()) {
-      *error = std::move(verr);
-      return false;
-    }
-  }
-  if (req.cmd == Command::kUploadDesign) {
-    if (req.spec.design_hash != 0) {
-      *error = "upload-design takes \"aux\" or \"demo_cells\", not \"design\"";
-      return false;
-    }
     if (std::string verr = validate_spec(req.spec); !verr.empty()) {
       *error = std::move(verr);
       return false;
@@ -251,17 +343,7 @@ bool parse_request(const std::string& line, Request* out, std::string* error) {
     }
     req.spec.design_hash = hash;
   }
-  if (req.cmd == Command::kSubmitBatch ||
-      req.cmd == Command::kSubmitPortfolio) {
-    if (std::string verr = validate_spec(req.spec); !verr.empty()) {
-      *error = std::move(verr);
-      return false;
-    }
-  }
   if (req.cmd == Command::kSubmitBatch) {
-    // Batch configs default dedup ON (the whole point of a sweep cache);
-    // a plain submit keeps it off unless asked.
-    req.spec.dedup = root.get_bool("dedup", true);
     const json::Value* configs = root.find("configs");
     if (configs == nullptr || !configs->is_array() ||
         configs->array().empty()) {
@@ -270,71 +352,38 @@ bool parse_request(const std::string& line, Request* out, std::string* error) {
     }
     for (std::size_t i = 0; i < configs->array().size(); ++i) {
       const json::Value& c = configs->array()[i];
+      const std::string where = "configs[" + std::to_string(i) + "]";
       if (!c.is_object()) {
-        *error = "configs[" + std::to_string(i) + "] must be an object";
+        *error = where + " must be an object";
         return false;
       }
-      // Each config starts from the base spec and overrides; design fields
-      // are resolved by the server from the batch's design, so configs may
-      // not name their own source.
-      if (c.has("aux") || c.has("demo_cells") || c.has("design")) {
-        *error = "configs[" + std::to_string(i) +
-                 "] must not name a design source (the batch's design is "
-                 "shared)";
-        return false;
-      }
+      // Each config starts from the base spec and overrides; the server
+      // resolves the design from the batch's, so configs name no source.
       JobSpec member = req.spec;
-      if (!parse_spec_fields(c, &member, error)) return false;
+      if (!parse_spec_fields(c, /*sources=*/false, &member, error)) {
+        *error = where + ": " + *error;
+        return false;
+      }
       req.configs.push_back(std::move(member));
     }
   }
   if (req.cmd == Command::kSubmitPortfolio) {
-    const json::Value* kv = root.find("k");
-    if (kv == nullptr || !kv->is_number() ||
-        kv->number() != std::floor(kv->number()) || kv->number() < 2) {
+    if (!read_field(root, "k", &req.k, error)) return false;
+    if (req.k < 2) {
       *error = "submit-portfolio requires \"k\" (integer >= 2)";
       return false;
     }
-    req.k = static_cast<int>(kv->number());
-    req.kill_min_iter = static_cast<int>(
-        root.get_number("kill_min_iter", req.kill_min_iter));
-    req.kill_margin = root.get_number("kill_margin", req.kill_margin);
-    req.kill_slack = root.get_number("kill_slack", req.kill_slack);
-    req.no_kill = root.get_bool("no_kill", false);
+    if (!read_field(root, "kill_min_iter", &req.kill_min_iter, error) ||
+        !read_field(root, "kill_margin", &req.kill_margin, error) ||
+        !read_field(root, "kill_slack", &req.kill_slack, error) ||
+        !read_field(root, "no_kill", &req.no_kill, error)) {
+      return false;
+    }
   }
 
   *out = req;
   return true;
 }
-
-namespace {
-
-/// Spec fields shared by submit / upload-design / submit-batch builders.
-void append_spec_fields(json::Object* o, const JobSpec& s) {
-  if (!s.aux.empty()) o->emplace_back("aux", s.aux);
-  if (s.demo_cells > 0) {
-    o->emplace_back("demo_cells", static_cast<double>(s.demo_cells));
-    o->emplace_back("demo_seed", s.demo_seed);
-  }
-  if (s.design_hash != 0) o->emplace_back("design", hash_to_hex(s.design_hash));
-  o->emplace_back("max_iters", s.max_iters);
-  o->emplace_back("grid", s.grid);
-  if (s.seed > 0) o->emplace_back("seed", s.seed);
-  if (s.target_density > 0) o->emplace_back("target_density", s.target_density);
-  if (s.lambda_init > 0) o->emplace_back("lambda_init", s.lambda_init);
-  if (s.init_noise_scale > 0) {
-    o->emplace_back("init_noise_scale", s.init_noise_scale);
-  }
-  if (s.gamma_scale > 0) o->emplace_back("gamma_scale", s.gamma_scale);
-  if (s.lambda_scale > 0) o->emplace_back("lambda_scale", s.lambda_scale);
-  o->emplace_back("threads", s.threads);
-  o->emplace_back("full_flow", json::Value(s.full_flow));
-  o->emplace_back("priority", s.priority);
-  if (s.deadline_s > 0) o->emplace_back("deadline_s", s.deadline_s);
-  if (!s.label.empty()) o->emplace_back("label", s.label);
-}
-
-}  // namespace
 
 std::string build_request(const Request& req) {
   json::Object o;
@@ -342,64 +391,28 @@ std::string build_request(const Request& req) {
   if (needs_id(req.cmd)) o.emplace_back("id", req.id);
   switch (req.cmd) {
     case Command::kSubmit:
-      append_spec_fields(&o, req.spec);
-      if (req.spec.dedup) o.emplace_back("dedup", json::Value(true));
+    case Command::kUploadDesign:
+      append_spec_fields(&o, req.spec, JobSpec{});
       break;
-    case Command::kUploadDesign: {
-      const JobSpec& s = req.spec;
-      if (!s.aux.empty()) o.emplace_back("aux", s.aux);
-      if (s.demo_cells > 0) {
-        o.emplace_back("demo_cells", static_cast<double>(s.demo_cells));
-        o.emplace_back("demo_seed", s.demo_seed);
-      }
-      break;
-    }
     case Command::kEvictDesign:
       o.emplace_back("design", hash_to_hex(req.spec.design_hash));
       break;
     case Command::kSubmitBatch: {
-      append_spec_fields(&o, req.spec);
-      o.emplace_back("dedup", json::Value(req.spec.dedup));
+      append_spec_fields(&o, req.spec, batch_base());
       json::Array configs;
       for (const JobSpec& c : req.configs) {
-        // Emit only the per-config deltas that matter on the wire: the
-        // parser re-applies them over the base fields above.
         json::Object cfg;
-        if (c.seed != req.spec.seed) cfg.emplace_back("seed", c.seed);
-        if (c.target_density != req.spec.target_density) {
-          cfg.emplace_back("target_density", c.target_density);
-        }
-        if (c.lambda_init != req.spec.lambda_init) {
-          cfg.emplace_back("lambda_init", c.lambda_init);
-        }
-        if (c.init_noise_scale != req.spec.init_noise_scale) {
-          cfg.emplace_back("init_noise_scale", c.init_noise_scale);
-        }
-        if (c.gamma_scale != req.spec.gamma_scale) {
-          cfg.emplace_back("gamma_scale", c.gamma_scale);
-        }
-        if (c.lambda_scale != req.spec.lambda_scale) {
-          cfg.emplace_back("lambda_scale", c.lambda_scale);
-        }
-        if (c.max_iters != req.spec.max_iters) {
-          cfg.emplace_back("max_iters", c.max_iters);
-        }
-        if (c.grid != req.spec.grid) cfg.emplace_back("grid", c.grid);
-        if (c.label != req.spec.label) cfg.emplace_back("label", c.label);
-        if (c.dedup != req.spec.dedup) {
-          cfg.emplace_back("dedup", json::Value(c.dedup));
-        }
+        append_spec_fields(&cfg, c, req.spec);
         configs.emplace_back(std::move(cfg));
       }
       o.emplace_back("configs", std::move(configs));
       break;
     }
     case Command::kSubmitPortfolio:
-      append_spec_fields(&o, req.spec);
-      o.emplace_back("k", static_cast<std::uint64_t>(req.k));
+      append_spec_fields(&o, req.spec, JobSpec{});
+      o.emplace_back("k", req.k);
       if (req.kill_min_iter >= 0) {
-        o.emplace_back("kill_min_iter",
-                       static_cast<std::uint64_t>(req.kill_min_iter));
+        o.emplace_back("kill_min_iter", req.kill_min_iter);
       }
       if (req.kill_margin > 0) o.emplace_back("kill_margin", req.kill_margin);
       if (req.kill_slack != kNoSlackOverride) {

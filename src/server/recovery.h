@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "io/journal.h"
+#include "server/design_store.h"
 #include "server/job.h"
 #include "server/portfolio_racer.h"
 
@@ -55,19 +56,6 @@ enum class JournalEvent : std::uint32_t {
   kBatch = 9,
 };
 
-/// Decoded kFinish payload (the terminal slice of a JobRecord).
-struct FinishInfo {
-  JobState state = JobState::kDone;
-  core::StopReason stop_reason = core::StopReason::kIterCap;
-  double hpwl = 0.0;
-  double overflow = 0.0;
-  int iterations = 0;
-  double gp_seconds = 0.0;
-  double dp_hpwl = 0.0;
-  bool legalized = false;
-  std::string error;
-};
-
 /// Decoded kRetry payload.
 struct RetryInfo {
   int attempt = 0;  ///< the attempt number the job is re-admitted as
@@ -75,15 +63,17 @@ struct RetryInfo {
   std::string reason;
 };
 
-// ---- payload codecs (little-endian, checkpoint_io-style) -------------------
+// ---- payload codecs --------------------------------------------------------
+// Each payload is one field list in recovery.cpp that the encoder and the
+// decoder both walk (util/bytes.h). A decoder is all-or-nothing: on false
+// its outputs are left untouched.
 std::string encode_submit(const JobSpec& spec, int attempt);
 bool decode_submit(const std::string& payload, JobSpec* spec, int* attempt);
 
-std::string encode_finish(const FinishInfo& info);
-bool decode_finish(const std::string& payload, FinishInfo* info);
-/// FinishInfo ↔ the terminal fields of a JobRecord.
-FinishInfo finish_info(const JobRecord& rec);
-void apply_finish(const FinishInfo& info, JobRecord* rec);
+/// kFinish carries the terminal slice of a JobRecord: state, stop reason,
+/// GP and full-flow results, and the error text.
+std::string encode_finish(const JobRecord& rec);
+bool decode_finish(const std::string& payload, JobRecord* rec);
 
 std::string encode_checkpoint(int next_iter, const std::string& path);
 bool decode_checkpoint(const std::string& payload, int* next_iter,
@@ -92,16 +82,10 @@ bool decode_checkpoint(const std::string& payload, int* next_iter,
 std::string encode_retry(const RetryInfo& info);
 bool decode_retry(const std::string& payload, RetryInfo* info);
 
-/// Decoded kDesignRef payload (the design's hash rides in the job_id slot).
-struct DesignRefInfo {
-  bool demo = false;
-  std::string aux;
-  std::uint64_t cells = 0;
-  std::uint64_t seed = 0;
-};
-
-std::string encode_design_ref(const DesignRefInfo& info);
-bool decode_design_ref(const std::string& payload, DesignRefInfo* info);
+/// kDesignRef carries the design's source (its hash rides in the job_id slot).
+std::string encode_design_ref(const DesignStore::SourceRef& ref);
+bool decode_design_ref(const std::string& payload,
+                       DesignStore::SourceRef* ref);
 
 /// Race section of a kBatch record: present when the batch is a portfolio,
 /// K perturbed restarts of one design raced under `policy` (DESIGN.md §14).
@@ -117,7 +101,7 @@ struct BatchInfo {
   std::uint64_t design_hash = 0;
   std::string label;
   std::vector<std::uint64_t> job_ids;
-  std::vector<std::uint8_t> deduped;  ///< parallel to job_ids: served from cache
+  std::vector<std::uint8_t> deduped;  ///< per job id: served from cache
   std::optional<BatchRace> race;      ///< set for a raced batch (portfolio)
 };
 
@@ -126,24 +110,22 @@ bool decode_batch(const std::string& payload, BatchInfo* info);
 
 /// One job's effective state after folding every journal record about it.
 struct RecoveredJob {
-  std::uint64_t id = 0;
-  JobSpec spec;
-  int attempt = 0;
+  /// The record to restore: id, spec, attempt and folded retry history; its
+  /// terminal slice (decoded from kFinish) is valid when `terminal`.
+  JobRecord rec;
   double submit_time_s = 0.0;  ///< CLOCK_REALTIME at original submit
   bool was_running = false;    ///< started and neither finished nor retried
   bool cancel_requested = false;  ///< bare kCancel with no settling kFinish
   std::string checkpoint_path;    ///< newest spill ("" = none landed)
   int checkpoint_iter = 0;
   bool terminal = false;
-  FinishInfo finish;           ///< valid when terminal
-  std::vector<JobAttempt> attempts;  ///< folded retry history
 };
 
 /// A design the store knew about (possibly evicted); re-registered at
 /// startup for lazy re-parse.
 struct RecoveredDesign {
   std::uint64_t hash = 0;
-  DesignRefInfo source;
+  DesignStore::SourceRef source;
 };
 
 /// A batch whose membership and race section survive the restart (member

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <new>
 #include <set>
@@ -19,6 +18,7 @@
 #include "opt/portfolio.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace xplace::server {
@@ -44,11 +44,10 @@ double wall_seconds() {
 /// so a retry schedule replays identically across runs and restarts — no
 /// wall-clock or RNG dependence, same spirit as the demo seeds.
 double retry_jitter(std::uint64_t id, int attempt) {
-  char key[12];
-  std::memcpy(key, &id, 8);
-  std::int32_t a = attempt;
-  std::memcpy(key + 8, &a, 4);
-  return static_cast<double>(io::fnv1a64(key, sizeof(key)) % 1024) / 4096.0;
+  util::ByteWriter key;
+  key(id, attempt);
+  const std::uint64_t h = util::fnv1a64(key.str().data(), key.str().size());
+  return static_cast<double>(h % 1024) / 4096.0;
 }
 
 std::string sanitize_label(const std::string& label) {
@@ -159,22 +158,17 @@ std::uint64_t PlacementServer::config_hash(const JobSpec& spec) const {
   // Everything that changes the placement result at a fixed design and a
   // fixed thread count. Threads are resolved (spec override or server
   // default) so the same effective run dedups across the two spellings.
-  std::uint64_t v[11];
-  v[0] = static_cast<std::uint64_t>(spec.max_iters);
-  v[1] = static_cast<std::uint64_t>(spec.grid);
-  v[2] = static_cast<std::uint64_t>(
-      spec.threads > 0 ? spec.threads : cfg_.default_job_threads);
-  v[3] = spec.full_flow ? 1 : 0;
-  v[4] = spec.seed;
-  v[5] = spec.demo_seed;
-  std::memcpy(&v[6], &spec.target_density, sizeof(double));
-  std::memcpy(&v[7], &spec.lambda_init, sizeof(double));
-  // Perturbed-restart knobs: two portfolio variants of the same design must
-  // dedup as distinct results.
-  std::memcpy(&v[8], &spec.init_noise_scale, sizeof(double));
-  std::memcpy(&v[9], &spec.gamma_scale, sizeof(double));
-  std::memcpy(&v[10], &spec.lambda_scale, sizeof(double));
-  return io::fnv1a64(reinterpret_cast<const char*>(v), sizeof(v));
+  util::ByteWriter key;
+  key(static_cast<std::uint64_t>(spec.max_iters),
+      static_cast<std::uint64_t>(spec.grid),
+      static_cast<std::uint64_t>(spec.threads > 0 ? spec.threads
+                                                  : cfg_.default_job_threads),
+      static_cast<std::uint64_t>(spec.full_flow), spec.seed, spec.demo_seed,
+      spec.target_density, spec.lambda_init,
+      // Perturbed-restart knobs: two portfolio variants of the same design
+      // must dedup as distinct results.
+      spec.init_noise_scale, spec.gamma_scale, spec.lambda_scale);
+  return util::fnv1a64(key.str().data(), key.str().size());
 }
 
 std::uint64_t PlacementServer::dedup_target_locked(const DedupKey& key) const {
@@ -296,13 +290,8 @@ PlacementServer::SubmitOutcome PlacementServer::submit_spec_locked(
 void PlacementServer::journal_design_ref_locked(
     std::uint64_t hash, const DesignStore::SourceRef& ref) {
   if (journaled_designs_.count(hash) != 0) return;
-  DesignRefInfo info;
-  info.demo = ref.demo;
-  info.aux = ref.aux;
-  info.cells = ref.cells;
-  info.seed = ref.seed;
   journal_append_locked(JournalEvent::kDesignRef, hash,
-                        encode_design_ref(info));
+                        encode_design_ref(ref));
   journaled_designs_[hash] = true;
 }
 
@@ -1162,7 +1151,7 @@ void PlacementServer::finish_job_locked(Job& job, JobState state) {
   // Terminal transition → journal, so a restart restores this job straight
   // into the result store instead of re-running it.
   journal_append_locked(JournalEvent::kFinish, job.rec.id,
-                        encode_finish(finish_info(job.rec)));
+                        encode_finish(job.rec));
   // SLO accounting: latency histograms (percentiles derive from these) and
   // deadline misses. Queue wait / run are only meaningful for jobs that got
   // a worker slot; e2e covers every terminal job including queue-cancelled.
@@ -1224,12 +1213,8 @@ void PlacementServer::journal_append_locked(JournalEvent type,
                                             std::uint64_t job_id,
                                             std::string payload) {
   if (!journal_.is_open() || journal_degraded_) return;
-  io::JournalRecord rec;
-  rec.type = static_cast<std::uint32_t>(type);
-  rec.job_id = job_id;
-  rec.time_s = wall_seconds();
-  rec.payload = std::move(payload);
-  if (!journal_.append(rec)) {
+  if (!journal_.append({static_cast<std::uint32_t>(type), job_id,
+                        wall_seconds(), std::move(payload)})) {
     // Keep serving from memory, but remember durability is gone: admission
     // treats a degraded journal as saturation (see submit()).
     journal_degraded_ = true;
@@ -1267,14 +1252,9 @@ void PlacementServer::recover_from_journal() {
   // already re-emitted them.
   const auto register_designs = [&](bool rejournal) {
     for (const RecoveredDesign& rd : plan.designs) {
-      DesignStore::SourceRef ref;
-      ref.demo = rd.source.demo;
-      ref.aux = rd.source.aux;
-      ref.cells = static_cast<std::size_t>(rd.source.cells);
-      ref.seed = rd.source.seed;
-      designs_.register_source(rd.hash, ref);
+      designs_.register_source(rd.hash, rd.source);
       if (rejournal) {
-        journal_design_ref_locked(rd.hash, ref);
+        journal_design_ref_locked(rd.hash, rd.source);
       } else {
         journaled_designs_[rd.hash] = true;
       }
@@ -1307,24 +1287,21 @@ void PlacementServer::recover_from_journal() {
     const double now_wall = wall_seconds();
     std::size_t live = 0, restored = 0;
     for (RecoveredJob& rj : plan.jobs) {
+      const std::uint64_t id = rj.rec.id;
       auto job = std::make_shared<Job>();
-      job->rec.id = rj.id;
-      job->rec.spec = rj.spec;
-      job->rec.attempt = rj.attempt;
-      job->rec.attempts = rj.attempts;
+      job->rec = std::move(rj.rec);
       job->rec.recovered = true;
       job->rec.trace_id = telemetry::TraceContext::new_id();
       job->submit_us = telemetry::Tracer::now_us();
       job->rec.submitted_s = log::elapsed_seconds();
       ++submitted_;
       Job& ref = *job;
-      jobs_.emplace(rj.id, std::move(job));
+      jobs_.emplace(id, std::move(job));
 
       if (rj.terminal) {
-        // Already settled before the crash: restore the record verbatim (no
-        // re-journal, no latency observation — those happened in the
-        // previous process lifetime).
-        apply_finish(rj.finish, &ref.rec);
+        // Already settled before the crash: the record carries its decoded
+        // terminal slice (no re-journal, no latency observation — those
+        // happened in the previous process lifetime).
         ref.rec.finished_s = ref.rec.submitted_s;
         count_terminal_locked(ref.rec.state);
         if (ref.rec.state == JobState::kDone && ref.rec.spec.dedup &&
@@ -1332,9 +1309,9 @@ void PlacementServer::recover_from_journal() {
           // Restored successful results keep serving dedup hits: the cache
           // survives the restart along with the record.
           ref.dedup_key = {ref.rec.spec.design_hash, config_hash(ref.rec.spec)};
-          dedup_index_[ref.dedup_key] = rj.id;
+          dedup_index_[ref.dedup_key] = id;
         }
-        terminal_order_.push_back(rj.id);
+        terminal_order_.push_back(id);
         publish_job_metrics(ref.rec);
         ++restored;
         continue;
@@ -1343,9 +1320,9 @@ void PlacementServer::recover_from_journal() {
       // Deadline accounting across the restart: the journal carries wall
       // time, so elapsed real time (including the downtime) still counts
       // against the job's deadline.
-      if (rj.spec.deadline_s > 0) {
+      if (ref.rec.spec.deadline_s > 0) {
         const double remaining =
-            rj.spec.deadline_s - (now_wall - rj.submit_time_s);
+            ref.rec.spec.deadline_s - (now_wall - rj.submit_time_s);
         if (remaining <= 0) {
           ref.rec.stop_reason = core::StopReason::kDeadline;
           finish_job_locked(ref, JobState::kCancelled);
@@ -1366,13 +1343,13 @@ void PlacementServer::recover_from_journal() {
         ref.rec.resume_from = rj.checkpoint_path;
       }
       ref.rec.state = JobState::kQueued;
-      if (rj.spec.dedup && rj.spec.design_hash != 0) {
-        ref.dedup_key = {rj.spec.design_hash, config_hash(rj.spec)};
-        dedup_index_[ref.dedup_key] = rj.id;
+      if (ref.rec.spec.dedup && ref.rec.spec.design_hash != 0) {
+        ref.dedup_key = {ref.rec.spec.design_hash, config_hash(ref.rec.spec)};
+        dedup_index_[ref.dedup_key] = id;
       }
       QueuedJob qj;
-      qj.id = rj.id;
-      qj.priority = rj.spec.priority;
+      qj.id = id;
+      qj.priority = ref.rec.spec.priority;
       qj.deadline = ref.queue_deadline;
       queue_.push(qj);
       ++live;

@@ -489,17 +489,17 @@ TEST(ServerBatch, ExactHpwlTieGoesToLowerJobId) {
 // ---------------------------------------------------------------------------
 
 TEST(RecoveryCodecs, DesignRefAndBatchRoundTrip) {
-  DesignRefInfo ref;
+  DesignStore::SourceRef ref;
   ref.demo = true;
   ref.cells = 1234;
   ref.seed = 99;
-  DesignRefInfo ref2;
+  DesignStore::SourceRef ref2;
   ASSERT_TRUE(decode_design_ref(encode_design_ref(ref), &ref2));
   EXPECT_EQ(ref2.demo, ref.demo);
   EXPECT_EQ(ref2.cells, ref.cells);
   EXPECT_EQ(ref2.seed, ref.seed);
 
-  DesignRefInfo aux_ref;
+  DesignStore::SourceRef aux_ref;
   aux_ref.aux = "/designs/adaptec1.aux";
   ASSERT_TRUE(decode_design_ref(encode_design_ref(aux_ref), &ref2));
   EXPECT_FALSE(ref2.demo);
@@ -539,7 +539,7 @@ TEST(Recovery, DesignsAndBatchesSurviveCrashRestart) {
       r.payload = std::move(payload);
       return r;
     };
-    DesignRefInfo ref;
+    DesignStore::SourceRef ref;
     ref.demo = true;
     ref.cells = 130;
     ref.seed = 5;
@@ -551,7 +551,7 @@ TEST(Recovery, DesignsAndBatchesSurviveCrashRestart) {
     ASSERT_TRUE(w.append(rec(JournalEvent::kSubmit, 1,
                              encode_submit(spec, /*attempt=*/0))));
     ASSERT_TRUE(w.append(rec(JournalEvent::kStart, 1, {})));
-    FinishInfo fin;
+    JobRecord fin;
     fin.state = JobState::kDone;
     fin.hpwl = 42.5;
     fin.iterations = 25;

@@ -307,6 +307,42 @@ TEST(CheckpointIO, TruncatedFileThrows) {
   }
 }
 
+TEST(CheckpointIO, HugeArrayCountIsTruncationNotAllocation) {
+  // A well-formed header whose first optimizer array claims 2^62 floats.
+  // `count * sizeof(float)` wraps to 0, so a size check by multiplication
+  // passes it and the reader asks for an impossible vector; the file must be
+  // rejected as truncated before anything is allocated.
+  TempDir tmp;
+  const std::string path = tmp.path() + "/run.xpck";
+  std::string bytes;
+  const auto put = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint32_t{0x4B435058});  // "XPCK"
+  put(RunCheckpoint::kVersion);
+  put(std::uint32_t{4});
+  bytes += "unit";
+  put(std::uint64_t{5});
+  put(std::uint64_t{3});
+  put(std::int32_t{0});
+  put(std::int32_t{42});
+  for (int i = 0; i < 4; ++i) put(1.0);
+  put(std::uint32_t{1});  // one optimizer array ...
+  put(std::uint32_t{1});
+  bytes += "x";
+  put(std::uint64_t{1} << 62);  // ... of 2^62 floats
+  bytes.append(16, '\0');
+  std::ofstream(path, std::ios::binary) << bytes;
+  try {
+    io::read_checkpoint(path);
+    FAIL() << "expected exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ": truncated checkpoint"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CheckpointIO, BadMagicThrows) {
   TempDir tmp;
   const std::string path = tmp.path() + "/run.xpck";

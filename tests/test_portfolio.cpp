@@ -466,7 +466,7 @@ TEST(PortfolioRecovery, CrashMidPortfolioRecoversAndSettles) {
   {
     io::JournalWriter w;
     ASSERT_TRUE(w.open((state / "journal.xpjl").string(), /*truncate=*/true));
-    DesignRefInfo ref;
+    DesignStore::SourceRef ref;
     ref.demo = true;
     ref.cells = 130;
     ref.seed = 5;
@@ -478,7 +478,7 @@ TEST(PortfolioRecovery, CrashMidPortfolioRecoversAndSettles) {
     ASSERT_TRUE(w.append(
         journal_rec(JournalEvent::kSubmit, 1, encode_submit(m1, 0))));
     ASSERT_TRUE(w.append(journal_rec(JournalEvent::kStart, 1, {})));
-    FinishInfo fin;
+    JobRecord fin;
     fin.state = JobState::kDone;
     fin.hpwl = 42.5;
     fin.iterations = 25;

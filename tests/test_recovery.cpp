@@ -253,7 +253,7 @@ TEST(Recovery, PayloadCodecsRoundTripBitwise) {
   EXPECT_EQ(out_spec.deadline_s, spec.deadline_s);
   EXPECT_EQ(out_spec.label, spec.label);
 
-  FinishInfo fin;
+  JobRecord fin;
   fin.state = JobState::kCancelled;
   fin.stop_reason = core::StopReason::kDeadline;
   fin.hpwl = 1.2345678901234567e6;  // bitwise survival, not text round-trip
@@ -263,7 +263,7 @@ TEST(Recovery, PayloadCodecsRoundTripBitwise) {
   fin.dp_hpwl = 9.75e5;
   fin.legalized = true;
   fin.error = "deadline";
-  FinishInfo fout;
+  JobRecord fout;
   ASSERT_TRUE(decode_finish(encode_finish(fin), &fout));
   EXPECT_EQ(fout.state, fin.state);
   EXPECT_EQ(fout.stop_reason, fin.stop_reason);
@@ -310,7 +310,7 @@ TEST(Recovery, InterleavedSubmitCancelReplayFoldsPerJob) {
   replay.records.push_back(
       make_record(JournalEvent::kSubmit, 3, encode_submit(demo_spec(300, 30), 0)));
   replay.records.push_back(make_record(JournalEvent::kCancel, 2));
-  FinishInfo fin;
+  JobRecord fin;
   fin.state = JobState::kDone;
   fin.hpwl = 123.0;
   replay.records.push_back(
@@ -326,14 +326,14 @@ TEST(Recovery, InterleavedSubmitCancelReplayFoldsPerJob) {
   EXPECT_EQ(plan.max_id, 4u);
   ASSERT_EQ(plan.jobs.size(), 4u);
   // Submit order is preserved.
-  EXPECT_EQ(plan.jobs[0].id, 1u);
-  EXPECT_EQ(plan.jobs[1].id, 2u);
-  EXPECT_EQ(plan.jobs[2].id, 3u);
-  EXPECT_EQ(plan.jobs[3].id, 4u);
+  EXPECT_EQ(plan.jobs[0].rec.id, 1u);
+  EXPECT_EQ(plan.jobs[1].rec.id, 2u);
+  EXPECT_EQ(plan.jobs[2].rec.id, 3u);
+  EXPECT_EQ(plan.jobs[3].rec.id, 4u);
 
   EXPECT_TRUE(plan.jobs[0].terminal);
-  EXPECT_EQ(plan.jobs[0].finish.state, JobState::kDone);
-  EXPECT_EQ(plan.jobs[0].finish.hpwl, 123.0);
+  EXPECT_EQ(plan.jobs[0].rec.state, JobState::kDone);
+  EXPECT_EQ(plan.jobs[0].rec.hpwl, 123.0);
 
   EXPECT_FALSE(plan.jobs[1].terminal);
   EXPECT_TRUE(plan.jobs[1].cancel_requested);
@@ -364,14 +364,14 @@ TEST(Recovery, RetryRecordsRebuildAttemptHistory) {
   const RecoveryPlan plan = build_recovery_plan(replay);
   ASSERT_EQ(plan.jobs.size(), 1u);
   const RecoveredJob& rj = plan.jobs[0];
-  EXPECT_EQ(rj.attempt, 1);
+  EXPECT_EQ(rj.rec.attempt, 1);
   // The retry abandons the diverged trajectory: no resume point, not running.
   EXPECT_FALSE(rj.was_running);
   EXPECT_TRUE(rj.checkpoint_path.empty());
-  ASSERT_EQ(rj.attempts.size(), 1u);
-  EXPECT_EQ(rj.attempts[0].number, 0);
-  EXPECT_EQ(rj.attempts[0].outcome, "diverged");
-  EXPECT_EQ(rj.attempts[0].backoff_s, 0.5);
+  ASSERT_EQ(rj.rec.attempts.size(), 1u);
+  EXPECT_EQ(rj.rec.attempts[0].number, 0);
+  EXPECT_EQ(rj.rec.attempts[0].outcome, "diverged");
+  EXPECT_EQ(rj.rec.attempts[0].backoff_s, 0.5);
 }
 
 TEST(Recovery, CleanShutdownMarkerOnlyCountsAsFinalRecord) {
@@ -399,7 +399,7 @@ TEST(Recovery, CompactionReEmitsTheFoldedStateExactly) {
   replay.records.push_back(make_record(JournalEvent::kStart, 1));
   replay.records.push_back(make_record(
       JournalEvent::kCheckpoint, 1, encode_checkpoint(40, "/tmp/job1.xpck")));
-  FinishInfo fin;
+  JobRecord fin;
   fin.state = JobState::kDone;
   fin.hpwl = 456.0;
   replay.records.push_back(make_record(
@@ -421,20 +421,20 @@ TEST(Recovery, CompactionReEmitsTheFoldedStateExactly) {
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
     const RecoveredJob& a = plan.jobs[i];
     const RecoveredJob& b = plan2.jobs[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.attempt, b.attempt);
+    EXPECT_EQ(a.rec.id, b.rec.id);
+    EXPECT_EQ(a.rec.attempt, b.rec.attempt);
     EXPECT_EQ(a.was_running, b.was_running);
     EXPECT_EQ(a.checkpoint_path, b.checkpoint_path);
     EXPECT_EQ(a.checkpoint_iter, b.checkpoint_iter);
     EXPECT_EQ(a.terminal, b.terminal);
-    ASSERT_EQ(a.attempts.size(), b.attempts.size());
-    for (std::size_t k = 0; k < a.attempts.size(); ++k) {
-      EXPECT_EQ(a.attempts[k].outcome, b.attempts[k].outcome);
-      EXPECT_EQ(a.attempts[k].backoff_s, b.attempts[k].backoff_s);
+    ASSERT_EQ(a.rec.attempts.size(), b.rec.attempts.size());
+    for (std::size_t k = 0; k < a.rec.attempts.size(); ++k) {
+      EXPECT_EQ(a.rec.attempts[k].outcome, b.rec.attempts[k].outcome);
+      EXPECT_EQ(a.rec.attempts[k].backoff_s, b.rec.attempts[k].backoff_s);
     }
     if (a.terminal) {
-      EXPECT_EQ(a.finish.state, b.finish.state);
-      EXPECT_EQ(std::memcmp(&a.finish.hpwl, &b.finish.hpwl, sizeof(double)),
+      EXPECT_EQ(a.rec.state, b.rec.state);
+      EXPECT_EQ(std::memcmp(&a.rec.hpwl, &b.rec.hpwl, sizeof(double)),
                 0);
     }
   }

@@ -237,6 +237,55 @@ TEST(Protocol, RejectsBadRequests) {
   EXPECT_FALSE(parse_request(
       "{\"cmd\":\"submit\",\"demo_cells\":10,\"deadline_s\":-1}", &req,
       &error));
+
+  // Typed fields: a wrong type, a fraction or a value outside the member's
+  // range is rejected with the field's name, never cast or ignored.
+  const auto rejects = [&](const std::string& line, const std::string& field) {
+    std::string err;
+    EXPECT_FALSE(parse_request(line, &req, &err)) << line;
+    EXPECT_NE(err.find("\"" + field + "\""), std::string::npos)
+        << line << " -> " << err;
+  };
+  rejects(R"({"cmd":"submit","demo_cells":10,"max_iters":1e12})", "max_iters");
+  rejects(R"({"cmd":"submit","demo_cells":10,"max_iters":"10"})", "max_iters");
+  rejects(R"({"cmd":"submit","demo_cells":10,"max_iters":2.5})", "max_iters");
+  rejects(R"({"cmd":"submit","demo_cells":1e300})", "demo_cells");
+  rejects(R"({"cmd":"submit","demo_cells":10,"priority":-3e9})", "priority");
+  rejects(R"({"cmd":"submit","demo_cells":10,"threads":true})", "threads");
+  rejects(R"({"cmd":"submit","demo_cells":10,"seed":1.8446744073709552e19})",
+          "seed");
+  rejects(R"({"cmd":"submit","demo_cells":10,"deadline_s":"5"})", "deadline_s");
+  rejects(R"({"cmd":"submit","demo_cells":10,"deadline_s":1e999})",
+          "deadline_s");
+  rejects(R"({"cmd":"submit","demo_cells":10,"full_flow":1})", "full_flow");
+  rejects(R"({"cmd":"submit","aux":7})", "aux");
+  rejects(R"({"cmd":"status","id":1e30})", "id");
+  rejects(R"({"cmd":"submit-portfolio","demo_cells":10,"k":1e30})", "k");
+  rejects(R"({"cmd":"submit-portfolio","demo_cells":10,"k":3,)"
+          R"("kill_min_iter":1e12})",
+          "kill_min_iter");
+  rejects(R"({"cmd":"submit-batch","demo_cells":10,)"
+          R"("configs":[{"seed":1},{"grid":"64"}]})",
+          "grid");
+  rejects(R"({"cmd":"submit-batch","demo_cells":10,"configs":[{"aux":"b"}]})",
+          "aux");
+}
+
+TEST(Protocol, GridAdmissionNamesTheField) {
+  Request req;
+  for (const char* grid : {"100", "0", "1", "-64", "2048", "32768"}) {
+    std::string error;
+    const std::string line =
+        std::string(R"({"cmd":"submit","demo_cells":10,"grid":)") + grid + "}";
+    EXPECT_FALSE(parse_request(line, &req, &error)) << line;
+    EXPECT_NE(error.find("\"grid\""), std::string::npos) << error;
+  }
+  for (const char* grid : {"2", "64", "1024"}) {
+    std::string error;
+    const std::string line =
+        std::string(R"({"cmd":"submit","demo_cells":10,"grid":)") + grid + "}";
+    EXPECT_TRUE(parse_request(line, &req, &error)) << line << ": " << error;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +669,21 @@ TEST(PlacementServer, FailedJobReportsError) {
   EXPECT_FALSE(rec->error.empty());
   srv.shutdown(true);
   EXPECT_EQ(srv.stats().failed, 1u);
+}
+
+TEST(PlacementServer, SubmitRejectsInadmissibleGrid) {
+  ServerConfig cfg;
+  cfg.max_concurrency = 1;
+  PlacementServer srv(cfg);
+  for (const int grid : {100, 1, 2048, 32768}) {
+    JobSpec s = demo_spec(300, 5);
+    s.grid = grid;
+    const auto out = srv.submit(s);
+    EXPECT_FALSE(out.ok) << grid;
+    EXPECT_NE(out.error.find("\"grid\""), std::string::npos) << out.error;
+  }
+  EXPECT_EQ(srv.stats().submitted, 0u);
+  srv.shutdown(true);
 }
 
 TEST(PlacementServer, ConcurrentSoakIsDeterministic) {
